@@ -7,8 +7,8 @@ naive backtracking search handles poorly on dense structures).
 
 Algorithm: build the primal graph of the query (vertices = variables,
 edges = co-occurrence in an atom or inequality), compute a tree
-decomposition with networkx's min-fill-in heuristic, assign every atom and
-inequality to one bag containing all its variables (such a bag exists
+decomposition with the min-fill-in elimination heuristic, assign every atom
+and inequality to one bag containing all its variables (such a bag exists
 because an atom's variables form a clique in the primal graph), then count
 by message passing from the leaves to the root:
 
@@ -16,14 +16,19 @@ by message passing from the leaves to the root:
 Π msg_grandchild(β|separator)``
 
 The root's total is ``Σ_root-assignments Π child messages``.
+
+:func:`tree_decomposition` is a dependency-free port of networkx's
+``treewidth_min_fill_in``: it eliminates by the same rule, creates bags in
+the same order and walks the tree in the same breadth-first edge order, so
+on a graph given in the same node order it returns networkx's
+decomposition bag for bag (the test suite checks this differentially).
 """
 
 from __future__ import annotations
 
+import sys
+from collections import deque
 from typing import Hashable
-
-import networkx as nx
-from networkx.algorithms.approximation import treewidth_min_fill_in
 
 from repro.errors import ConstantError, EvaluationError
 from repro.obs import metrics as obs_metrics
@@ -32,9 +37,37 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.terms import Constant, Term, Variable
 from repro.relational.structure import Structure
 
-__all__ = ["count_homomorphisms_td", "query_treewidth"]
+__all__ = [
+    "count_homomorphisms_td",
+    "primal_graph",
+    "query_treewidth",
+    "tree_decomposition",
+]
 
 Element = Hashable
+
+#: An undirected graph without self-loops: every node maps to the set of
+#: its neighbours.  Dict order is the node order the heuristic breaks
+#: ties by.
+Graph = dict[Hashable, set]
+
+
+def primal_graph(query: ConjunctiveQuery) -> dict[Variable, set[Variable]]:
+    """The query's primal graph, nodes in ``query.variables`` order.
+
+    Two variables are adjacent when they occur in one atom or are the two
+    sides of an inequality.  Every call returns fresh neighbour sets, so
+    callers may consume the graph destructively.
+    """
+    graph: dict[Variable, set[Variable]] = {
+        variable: set() for variable in query.variables
+    }
+    for constraint in [*query.atoms, *query.inequalities]:
+        scope = set(constraint.variables())  # type: ignore[union-attr]
+        for variable in scope:
+            graph[variable] |= scope
+            graph[variable].discard(variable)
+    return graph
 
 
 def query_treewidth(query: ConjunctiveQuery) -> int:
@@ -43,26 +76,102 @@ def query_treewidth(query: ConjunctiveQuery) -> int:
     An upper bound on the true treewidth; ``0`` for queries whose variables
     never co-occur.
     """
-    graph = _primal_graph(query)
-    if graph.number_of_nodes() == 0:
+    graph = primal_graph(query)
+    if not graph:
         return 0
-    width, _ = treewidth_min_fill_in(graph)
+    width, _, _ = tree_decomposition(graph)
     return width
 
 
-def _primal_graph(query: ConjunctiveQuery) -> "nx.Graph":
-    graph: nx.Graph = nx.Graph()
-    graph.add_nodes_from(query.variables)
-    for atom in query.atoms:
-        atom_variables = list(set(atom.variables()))
-        for i, first in enumerate(atom_variables):
-            for second in atom_variables[i + 1 :]:
-                graph.add_edge(first, second)
-    for inequality in query.inequalities:
-        ineq_variables = list(set(inequality.variables()))
-        if len(ineq_variables) == 2:
-            graph.add_edge(ineq_variables[0], ineq_variables[1])
-    return graph
+def tree_decomposition(
+    graph: Graph,
+) -> tuple[int, list[frozenset], list[tuple[frozenset, frozenset]]]:
+    """``(width, bags, edges)``: a min-fill-in tree decomposition of ``graph``.
+
+    Repeatedly eliminate the node whose neighbourhood needs the fewest
+    fill-in edges to become a clique, until the rest is complete.  The
+    rest is ``bags[0]``; each eliminated node then adds, latest first, a
+    bag of itself and its neighbours at elimination, attached to the
+    first earlier bag holding those neighbours.  ``edges`` are the tree's
+    ``(parent, child)`` pairs breadth-first from ``bags[0]``, and
+    ``width`` is the largest bag's size minus one (``-1`` on the empty
+    graph).  ``graph`` is left unchanged.
+    """
+    remaining = {node: set(neighbors) for node, neighbors in graph.items()}
+    eliminated: list[tuple[Hashable, set]] = []
+    node = _min_fill_in_node(remaining)
+    while node is not None:
+        neighbors = remaining.pop(node)
+        for neighbor in neighbors:
+            adjacent = remaining[neighbor]
+            adjacent |= neighbors
+            adjacent.discard(neighbor)
+            adjacent.discard(node)
+        eliminated.append((node, neighbors))
+        node = _min_fill_in_node(remaining)
+
+    bags = [frozenset(remaining)]
+    children: list[list[int]] = [[]]
+    for node, neighbors in reversed(eliminated):
+        host = next((i for i, bag in enumerate(bags) if neighbors <= bag), 0)
+        children[host].append(len(bags))
+        children.append([])
+        bags.append(frozenset(neighbors | {node}))
+
+    edges: list[tuple[frozenset, frozenset]] = []
+    queue = deque([0])
+    while queue:
+        up = queue.popleft()
+        for down in children[up]:
+            edges.append((bags[up], bags[down]))
+            queue.append(down)
+    return max(len(bag) for bag in bags) - 1, bags, edges
+
+
+def _min_fill_in_node(graph: Graph) -> Hashable | None:
+    """The next node to eliminate, or ``None`` once the graph is complete.
+
+    Scans nodes by ascending degree (ties in graph order) and returns the
+    first with the least fill-in, stopping early at a node needing none.
+    """
+    if not graph:
+        return None
+    by_degree = sorted(graph, key=lambda node: len(graph[node]))
+    if len(graph[by_degree[0]]) == len(graph) - 1:
+        return None
+    best, best_fill = None, sys.maxsize
+    for node in by_degree:
+        neighbors = graph[node]
+        # Twice the fill-in: each missing edge is seen from both its ends.
+        fill = 0
+        for neighbor in neighbors:
+            fill += len(neighbors - graph[neighbor]) - 1
+            if fill >= best_fill:
+                break
+        if fill < best_fill:
+            if fill == 0:
+                return node
+            best, best_fill = node, fill
+    return best
+
+
+def _connected_components(graph: Graph) -> list[Graph]:
+    """The components of ``graph``, each in graph order, by first node."""
+    label: dict[Hashable, Hashable] = {}
+    for start in graph:
+        if start in label:
+            continue
+        label[start] = start
+        frontier = [start]
+        while frontier:
+            for neighbor in graph[frontier.pop()]:
+                if neighbor not in label:
+                    label[neighbor] = start
+                    frontier.append(neighbor)
+    components: dict[Hashable, Graph] = {}
+    for node, neighbors in graph.items():
+        components.setdefault(label[node], {})[node] = neighbors
+    return list(components.values())
 
 
 def count_homomorphisms_td(query: ConjunctiveQuery, structure: Structure) -> int:
@@ -98,10 +207,8 @@ def count_homomorphisms_td(query: ConjunctiveQuery, structure: Structure) -> int
     if not variables:
         return 1
 
-    graph = _primal_graph(query)
     total = 1
-    for component_nodes in nx.connected_components(graph):
-        component = graph.subgraph(component_nodes).copy()
+    for component in _connected_components(primal_graph(query)):
         if registry is not None:
             registry.counter("td.components").inc()
         total *= _count_component(query, structure, component, registry)
@@ -131,10 +238,10 @@ def _ground_holds(query: ConjunctiveQuery, structure: Structure) -> bool:
 def _count_component(
     query: ConjunctiveQuery,
     structure: Structure,
-    graph: "nx.Graph",
+    graph: Graph,
     registry: obs_metrics.Registry | None = None,
 ) -> int:
-    component_variables = set(graph.nodes)
+    component_variables = set(graph)
     atoms = [
         atom
         for atom in query.atoms
@@ -146,23 +253,14 @@ def _count_component(
         if set(ineq.variables()) and set(ineq.variables()) <= component_variables
     ]
 
-    _, decomposition = treewidth_min_fill_in(graph)
-    if decomposition.number_of_nodes() == 0:
-        decomposition.add_node(frozenset(component_variables))
-
-    bags = list(decomposition.nodes)
+    width, bags, order = tree_decomposition(graph)
     if registry is not None:
         registry.counter("td.bags").inc(len(bags))
-        registry.gauge("td.width").set_max(
-            max(len(bag) for bag in bags) - 1 if bags else 0
-        )
+        registry.gauge("td.width").set_max(width)
     root = bags[0]
-    order = list(nx.bfs_tree(decomposition, root).edges())
     children: dict[frozenset, list[frozenset]] = {bag: [] for bag in bags}
-    parent: dict[frozenset, frozenset | None] = {root: None}
     for up, down in order:
         children[up].append(down)
-        parent[down] = up
 
     # Assign every constraint to one bag containing all its variables,
     # preferring deeper bags so work happens near the leaves.

@@ -22,6 +22,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 
 from repro.homomorphism.acyclic import join_tree
+from repro.homomorphism.treewidth_dp import primal_graph
 from repro.obs import metrics as obs_metrics
 from repro.queries.cq import ConjunctiveQuery
 
@@ -62,24 +63,6 @@ class ComponentProfile:
         )
 
 
-def _primal_adjacency(query: ConjunctiveQuery) -> dict:
-    """Primal graph as an adjacency dict: variables, co-occurrence edges."""
-    adjacency: dict = {variable: set() for variable in query.variables}
-    for atom in query.atoms:
-        atom_variables = sorted(set(atom.variables()))
-        for i, first in enumerate(atom_variables):
-            for second in atom_variables[i + 1 :]:
-                adjacency[first].add(second)
-                adjacency[second].add(first)
-    for inequality in query.inequalities:
-        ineq_variables = sorted(set(inequality.variables()))
-        if len(ineq_variables) == 2:
-            left, right = ineq_variables
-            adjacency[left].add(right)
-            adjacency[right].add(left)
-    return adjacency
-
-
 def greedy_treewidth_bound(query: ConjunctiveQuery) -> int:
     """An upper bound on the primal-graph treewidth via min-degree elimination.
 
@@ -89,7 +72,7 @@ def greedy_treewidth_bound(query: ConjunctiveQuery) -> int:
     and fast — the planner runs it on every cache-missed component, so it
     must stay cheap even for the thousand-atom reduction queries.
     """
-    adjacency = _primal_adjacency(query)
+    adjacency = primal_graph(query)
     width = 0
     while adjacency:
         vertex = min(adjacency, key=lambda v: (len(adjacency[v]), v))

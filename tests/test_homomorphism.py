@@ -4,6 +4,8 @@ Includes the differential tests that pin the two engines (backtracking and
 tree-decomposition DP) against the brute-force reference counter.
 """
 
+import random
+
 import pytest
 
 from repro.errors import ConstantError, EvaluationError
@@ -16,6 +18,7 @@ from repro.homomorphism import (
     is_homomorphism,
     query_treewidth,
 )
+from repro.homomorphism.treewidth_dp import primal_graph, tree_decomposition
 from repro.queries import Atom, ConjunctiveQuery, Constant, Inequality, Variable, parse_query
 from repro.relational import Schema, Structure
 
@@ -167,13 +170,122 @@ class TestTreewidthEngine:
         assert count_homomorphisms_td(parse_query("TRUE"), structure) == 1
 
 
+def _random_graph(rng, connected: bool):
+    """``(node order, edge list)``: shuffled labels, density from tree to clique."""
+    size = rng.randint(1, 14)
+    order = rng.sample(range(100), size)
+    edges = set()
+    if connected:
+        for index in range(1, size):
+            edges.add((order[index], order[rng.randrange(index)]))
+    density = rng.choice([0.0, 0.05, 0.15, 0.3, 0.5, 0.8, 1.0])
+    for i in range(size):
+        for j in range(i + 1, size):
+            if rng.random() < density:
+                edges.add((order[i], order[j]))
+    edges = sorted(edges)
+    rng.shuffle(edges)
+    return order, edges
+
+
+def _adjacency(order, edges) -> dict:
+    graph = {node: set() for node in order}
+    for first, second in edges:
+        graph[first].add(second)
+        graph[second].add(first)
+    return graph
+
+
+def _assert_valid_decomposition(graph: dict, width, bags, edges) -> None:
+    assert len(set(bags)) == len(bags), "bags are distinct"
+    assert width == max(len(bag) for bag in bags) - 1
+    # A tree, listed breadth-first from bags[0]: every other bag is entered
+    # exactly once, from a bag that was already reached.
+    assert len(edges) == len(bags) - 1
+    reached = [bags[0]]
+    for up, down in edges:
+        assert up in reached and down not in reached
+        reached.append(down)
+    assert set().union(*bags) == set(graph)
+    for node, neighbors in graph.items():
+        for neighbor in neighbors:
+            assert any({node, neighbor} <= bag for bag in bags), (node, neighbor)
+        # Running intersection: the bags holding ``node`` form a subtree.
+        holding = sum(1 for bag in bags if node in bag)
+        linked = sum(1 for up, down in edges if node in up and node in down)
+        assert linked == holding - 1, node
+
+
+class TestTreeDecomposition:
+    def test_matches_networkx_on_connected_graphs(self):
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.approximation import treewidth_min_fill_in
+
+        for seed in range(1000):
+            order, edges = _random_graph(random.Random(seed), connected=True)
+            reference = nx.Graph()
+            reference.add_nodes_from(order)
+            reference.add_edges_from(edges)
+            width, tree = treewidth_min_fill_in(reference)
+            bags = list(tree.nodes)
+            expected = (width, bags, list(nx.bfs_tree(tree, bags[0]).edges()))
+            graph = _adjacency(order, edges)
+            assert tree_decomposition(graph) == expected, seed
+
+    @pytest.mark.parametrize("connected", [True, False])
+    def test_random_graphs_decompose_validly(self, connected):
+        for seed in range(300):
+            order, edges = _random_graph(random.Random(seed), connected)
+            graph = _adjacency(order, edges)
+            _assert_valid_decomposition(graph, *tree_decomposition(graph))
+            assert graph == _adjacency(order, edges), "input left unchanged"
+
+    @pytest.mark.parametrize("length", [3, 4, 8, 16])
+    def test_long_cycle_has_width_two(self, length):
+        order = list(range(length))
+        graph = _adjacency(order, [(i, (i + 1) % length) for i in order])
+        width, bags, edges = tree_decomposition(graph)
+        assert width == 2
+        _assert_valid_decomposition(graph, width, bags, edges)
+
+    def test_complete_graph_is_one_bag(self):
+        graph = _adjacency(range(5), [(i, j) for i in range(5) for j in range(i)])
+        assert tree_decomposition(graph) == (4, [frozenset(range(5))], [])
+
+    def test_empty_graph(self):
+        assert tree_decomposition({}) == (-1, [frozenset()], [])
+
+    def test_primal_graph(self):
+        query = parse_query("E(x, y) & U(z) & T(x, x, w) & x != z & y != y")
+        x, y, z, w = (Variable(name) for name in "xyzw")
+        graph = primal_graph(query)
+        assert list(graph) == list(query.variables)
+        assert graph == {x: {y, z, w}, y: {x}, z: {x}, w: {x}}
+
+    def test_query_primal_graphs_decompose_validly(self):
+        for seed in range(200):
+            rng = random.Random(seed)
+            variables = [Variable(f"v{i}") for i in range(rng.randint(1, 8))]
+            atoms = [
+                Atom("T", tuple(rng.choice(variables) for _ in range(3)))
+                for _ in range(rng.randint(1, 6))
+            ]
+            inequalities = [
+                Inequality(rng.choice(variables), rng.choice(variables))
+                for _ in range(rng.randint(0, 2))
+            ]
+            query = ConjunctiveQuery(atoms, inequalities)
+            graph = primal_graph(query)
+            width, bags, edges = tree_decomposition(graph)
+            _assert_valid_decomposition(graph, width, bags, edges)
+            assert query_treewidth(query) == width
+
+
 class TestDifferential:
     """Randomized cross-validation of all engines against brute force."""
 
     @pytest.mark.parametrize("seed", range(40))
     def test_engines_agree(self, seed):
-        import random
-
         rng = random.Random(seed)
         schema = Schema.from_arities({"E": 2, "U": 1})
         n = rng.randint(1, 4)
