@@ -8,98 +8,68 @@ the Hilbert-10th-problem reductions of Section 4 and Appendix B, and the
 structure operations and equivalences of Section 5.
 """
 
-from repro.core import (
-    alpha_gadget,
-    beta_gadget,
-    gamma_gadget,
-    reduce_polynomial,
-    theorem1_reduction,
-    theorem3_reduction,
-    transfer_witness,
-)
-from repro.containment_set import (
-    ContainmentCache,
-    cq_containment,
-    cq_contained,
-    ucq_containment,
-    ucq_contained,
-)
-from repro.decision import decide_bag_containment, verify_bounded
-from repro.homomorphism import (
-    count,
-    count_ucq,
-    evaluate,
-    set_contained,
-)
-from repro.polynomials import (
-    Lemma11Instance,
-    Monomial,
-    Polynomial,
-    hilbert_to_lemma11,
-    standard_suite,
-)
-from repro.queries import (
-    Atom,
-    OpenQuery,
-    ConjunctiveQuery,
-    Constant,
-    Inequality,
-    QueryProduct,
-    UnionOfConjunctiveQueries,
-    Variable,
-    parse_query,
-)
-from repro.relational import (
-    Schema,
-    Structure,
-    StructureBuilder,
-    blowup,
-    disjoint_union,
-    power,
-    product,
-)
+import importlib
+
+#: Where each re-exported name lives.  Resolved on first attribute access
+#: (PEP 562), so importing one subpackage — ``repro.cli`` for a server —
+#: does not load the reductions, polynomials and decision procedures it
+#: never serves.
+_EXPORTS = {
+    "alpha_gadget": "repro.core",
+    "beta_gadget": "repro.core",
+    "gamma_gadget": "repro.core",
+    "reduce_polynomial": "repro.core",
+    "theorem1_reduction": "repro.core",
+    "theorem3_reduction": "repro.core",
+    "transfer_witness": "repro.core",
+    "ContainmentCache": "repro.containment_set",
+    "cq_containment": "repro.containment_set",
+    "cq_contained": "repro.containment_set",
+    "ucq_containment": "repro.containment_set",
+    "ucq_contained": "repro.containment_set",
+    "decide_bag_containment": "repro.decision",
+    "verify_bounded": "repro.decision",
+    "count": "repro.homomorphism",
+    "count_ucq": "repro.homomorphism",
+    "evaluate": "repro.homomorphism",
+    "set_contained": "repro.homomorphism",
+    "Lemma11Instance": "repro.polynomials",
+    "Monomial": "repro.polynomials",
+    "Polynomial": "repro.polynomials",
+    "hilbert_to_lemma11": "repro.polynomials",
+    "standard_suite": "repro.polynomials",
+    "Atom": "repro.queries",
+    "OpenQuery": "repro.queries",
+    "ConjunctiveQuery": "repro.queries",
+    "Constant": "repro.queries",
+    "Inequality": "repro.queries",
+    "QueryProduct": "repro.queries",
+    "UnionOfConjunctiveQueries": "repro.queries",
+    "Variable": "repro.queries",
+    "parse_query": "repro.queries",
+    "Schema": "repro.relational",
+    "Structure": "repro.relational",
+    "StructureBuilder": "repro.relational",
+    "blowup": "repro.relational",
+    "disjoint_union": "repro.relational",
+    "power": "repro.relational",
+    "product": "repro.relational",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "Atom",
-    "ConjunctiveQuery",
-    "Constant",
-    "Inequality",
-    "Lemma11Instance",
-    "Monomial",
-    "OpenQuery",
-    "Polynomial",
-    "QueryProduct",
-    "Schema",
-    "Structure",
-    "StructureBuilder",
-    "UnionOfConjunctiveQueries",
-    "Variable",
-    "alpha_gadget",
-    "beta_gadget",
-    "ContainmentCache",
-    "blowup",
-    "count",
-    "count_ucq",
-    "cq_containment",
-    "cq_contained",
-    "decide_bag_containment",
-    "disjoint_union",
-    "evaluate",
-    "gamma_gadget",
-    "hilbert_to_lemma11",
-    "parse_query",
-    "power",
-    "product",
-    "reduce_polynomial",
-    "set_contained",
-    "standard_suite",
-    "theorem1_reduction",
-    "theorem3_reduction",
-    "transfer_witness",
-    "ucq_containment",
-    "ucq_contained",
-    "verify_bounded",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -10,6 +10,7 @@ same structures.  Since ``φ(D)`` is invariant under bijective renaming of
 :func:`canonical_component` renames a (connected-component) query into a
 canonical form: α-equivalent components — equal up to a variable
 renaming — map to the *same* canonical query, which then keys the cache.
+The form is computed once per query object and memoized on it.
 The renaming is computed with the 1-WL color refinement of
 :func:`repro.relational.isomorphism.refine_colors` extended to query
 components (variables are colored by their atom/inequality incidence;
@@ -76,7 +77,20 @@ def canonical_component(query: ConjunctiveQuery) -> ConjunctiveQuery:
     never renamed.  The output is a plain :class:`ConjunctiveQuery`, so it
     is hashable and compares by its atom/inequality sets — exactly what a
     cache key needs.
+
+    Memoized on the query object: the request key, the planner's profile
+    and artifact lookups and the count-cache key all canonicalize the
+    same object, and only the first of them pays the 1-WL refinement.
     """
+    canonical = query._canonical
+    if canonical is None:
+        canonical = _canonicalize(query)
+        if canonical is not query:  # a ground query is its own form
+            query._canonical = canonical
+    return canonical
+
+
+def _canonicalize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     variables = query.variables
     if not variables:
         return query

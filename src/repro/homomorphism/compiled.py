@@ -10,7 +10,10 @@ structure once and reuses the artifact:
 * **Fact indexes** — for every atom, a hash map from bound-variable
   prefix tuples to the candidate extensions, built in one pass over the
   relation's facts.  Runtime candidate discovery becomes one dict lookup
-  instead of a fact-list scan.
+  instead of a fact-list scan.  Atoms with the same index shape share
+  one index, and a key, extension or acyclic row that would be an equal
+  copy of a whole fact is the structure's own fact tuple, so an
+  artifact holds references to the database rather than a copy of it.
 * **Closure chains** (cyclic components) — the chosen variable order is
   baked into a flat chain of specialized closures, one per atom, each
   hard-wired to its key slots and newly-bound slots.  No atom selection,
@@ -23,7 +26,7 @@ structure once and reuses the artifact:
   (``compiled.overflow_fallbacks``), so results stay exact.
 
 Artifacts are cached in the planner's :class:`~repro.planner.analyze.
-PlanCache` keyed by ``(canonical component, structure)`` — α-equivalent
+PlanCache` keyed by ``(canonical component, fingerprint)`` — α-equivalent
 components on the same database share one compilation, exactly as their
 counts share one evaluation in
 :class:`~repro.homomorphism.cache.CountCache` — so warm service traffic
@@ -111,13 +114,17 @@ class CompiledComponent:
     compile pass indexed — both surfaced through the ``compiled.*``
     observability counters and useful in tests.
 
-    ``refresh(new_structure, delta)`` produces a new artifact for a
-    structure that differs from the compiled one *exactly* by ``delta``
-    (same schema, same constants): per-relation fact indexes of untouched
-    relations are shared, touched chain indexes are patched in
-    O(|delta|), and only join passes adjacent to a touched relation are
-    regrouped.  The original artifact is never mutated — cache entries
-    for the old database version stay valid.
+    ``refresh(old_structure, new_structure, delta)`` produces a new
+    artifact for ``new_structure``, which must be ``old_structure`` — the
+    structure the artifact was compiled or last refreshed for — with
+    ``delta`` applied (same schema, same constants): per-relation fact
+    indexes of untouched relations are shared, touched chain indexes are
+    patched in O(|delta|), and only join passes adjacent to a touched
+    relation are regrouped.  The artifact keeps no reference to either
+    structure.  The original artifact is never mutated, so a caller still
+    running it gets the old version's exact count; delta evaluation drops
+    it from the store once the refreshed one is stored, as it does for
+    superseded counts.
     """
 
     __slots__ = ("mode", "indexed_facts", "_run", "_refresh")
@@ -127,7 +134,7 @@ class CompiledComponent:
         mode: str,
         indexed_facts: int,
         run: Callable[[], int],
-        refresh: Callable[[Structure, "object"], "CompiledComponent"] | None = None,
+        refresh: Callable[..., "CompiledComponent"] | None = None,
     ) -> None:
         self.mode = mode
         self.indexed_facts = indexed_facts
@@ -137,16 +144,19 @@ class CompiledComponent:
     def run(self) -> int:
         return self._run()
 
-    def refresh(self, structure: Structure, delta) -> "CompiledComponent | None":
+    def refresh(
+        self, old_structure: Structure, structure: Structure, delta
+    ) -> "CompiledComponent | None":
         """An equivalent artifact for ``structure``, or ``None``.
 
-        ``structure`` must be the compiled structure with ``delta``
-        applied.  Returns ``None`` when the artifact does not support
-        incremental refresh (callers then recompile from scratch).
+        ``structure`` must be ``old_structure`` — the artifact's compiled
+        structure — with ``delta`` applied.  Returns ``None`` when the
+        artifact does not support incremental refresh (callers then
+        recompile from scratch).
         """
         if self._refresh is None:
             return None
-        return self._refresh(structure, delta)
+        return self._refresh(old_structure, structure, delta)
 
     def __repr__(self) -> str:
         return (
@@ -167,6 +177,8 @@ def _atom_rows(
     holds the binding's values in that order.  Consistency (constants,
     repeated-variable positions) is discharged at compile time by the
     acyclic engine's :func:`~repro.homomorphism.acyclic.matching_facts`.
+    When every term is a distinct variable, every fact is consistent and
+    is its own row, so the rows are the structure's fact tuples.
     """
     variables: list[Variable] = []
     seen: set[Variable] = set()
@@ -175,6 +187,8 @@ def _atom_rows(
             seen.add(term)
             variables.append(term)
     order = tuple(variables)
+    if len(order) == len(atom.terms):
+        return order, list(_facts_of(structure, atom.relation))
     rows = [
         tuple(binding[variable] for variable in order)
         for binding, _ in matching_facts(atom, structure)
@@ -298,7 +312,9 @@ def _compile_acyclic(
 
     state = (tuple(var_orders), tuple(all_rows), tuple(passes))
 
-    def refresh(new_structure: Structure, delta) -> CompiledComponent:
+    def refresh(
+        old_structure: Structure, new_structure: Structure, delta
+    ) -> CompiledComponent:
         return _compile_acyclic(
             query, new_structure, tree, state, delta.touched_relations()
         )
@@ -342,21 +358,22 @@ def _order_atoms(query: ConjunctiveQuery, structure: Structure) -> list:
 
 #: One chain atom's compiled index plus the position metadata needed to
 #: patch it incrementally: ``(key_positions, checks, duplicates, take,
-#: key_slots, new_slots, index)``.
+#: key_slots, new_slots, index)``.  The first four fields, with the
+#: atom's relation, are the index's *shape*: atoms of one chain with the
+#: same shape have equal indexes and share one.
 _ChainSpec = tuple
 
 
-def _build_index(
+def _chain_layout(
     atom,
     structure: Structure,
     slot_of: dict[Variable, int],
-) -> _ChainSpec:
-    """The :data:`_ChainSpec` for one atom in the chain.
+) -> tuple:
+    """The :data:`_ChainSpec` of one atom in the chain, minus its index.
 
-    ``index`` maps a tuple of already-bound values (at ``key_slots``, in
-    position order) to the candidate extensions: the values the atom's
-    newly-bound variables take, one entry per consistent fact.  Constants
-    and repeated variables are discharged at build time.
+    Assigns slots to the atom's newly-bound variables in ``slot_of``.
+    Constants (``checks``) and repeated new variables (``duplicates``)
+    are filters discharged when the index is built.
     """
     key_positions: list[int] = []
     key_slots: list[int] = []
@@ -379,19 +396,6 @@ def _build_index(
         slot_of[variable] = len(slot_of)
     new_slots = tuple(slot_of[variable] for variable in new_variables)
     take = tuple(new_first[variable] for variable in new_variables)
-    index: dict = {}
-    for fact in _facts_of(structure, atom.relation):
-        if any(fact[position] != value for position, value in checks):
-            continue
-        if any(fact[i] != fact[j] for i, j in duplicates):
-            continue
-        key = tuple(fact[position] for position in key_positions)
-        if len(take) == 1:
-            index.setdefault(key, []).append(fact[take[0]])
-        else:
-            index.setdefault(key, []).append(
-                tuple(fact[position] for position in take)
-            )
     return (
         tuple(key_positions),
         tuple(checks),
@@ -399,31 +403,55 @@ def _build_index(
         take,
         tuple(key_slots),
         new_slots,
-        index,
     )
 
 
 def _fact_entry(spec: _ChainSpec, fact: tuple) -> tuple | None:
-    """``(key, value)`` for a fact passing the spec's filters, else None."""
+    """``(key, value)`` for a fact passing the spec's filters, else None.
+
+    A key or value covering every position of the fact *is* the fact, so
+    indexes built from a structure reference its fact tuples instead of
+    holding equal copies.
+    """
     key_positions, checks, duplicates, take = spec[0], spec[1], spec[2], spec[3]
     if any(fact[position] != value for position, value in checks):
         return None
     if any(fact[i] != fact[j] for i, j in duplicates):
         return None
-    key = tuple(fact[position] for position in key_positions)
+    if len(key_positions) == len(fact):
+        key = fact
+    else:
+        key = tuple(fact[position] for position in key_positions)
     if len(take) == 1:
         return key, fact[take[0]]
+    if len(take) == len(fact):
+        return key, fact
     return key, tuple(fact[position] for position in take)
 
 
-def _patched_index(spec: _ChainSpec, adds, removes) -> tuple[_ChainSpec, int]:
-    """A copy of the spec with ``adds``/``removes`` applied to its index.
+def _build_index(relation: str, layout: tuple, structure: Structure) -> dict:
+    """The index of a :func:`_chain_layout`: bound values → extensions.
+
+    Maps a tuple of already-bound values (at the key positions, in
+    position order) to the candidate extensions: the values the atom's
+    newly-bound variables take, one entry per consistent fact.
+    """
+    index: dict = {}
+    for fact in _facts_of(structure, relation):
+        entry = _fact_entry(layout, fact)
+        if entry is not None:
+            index.setdefault(entry[0], []).append(entry[1])
+    return index
+
+
+def _patched_index(spec: _ChainSpec, adds, removes) -> tuple[dict, int]:
+    """A copy of the spec's index with ``adds``/``removes`` applied.
 
     ``adds`` and ``removes`` must be the *effective* fact changes (adds
-    absent before, removes present before).  Copy-on-write per bucket: the
-    input spec — possibly still live under the old database version's
-    cache key — is never mutated.  Returns the patched spec and the net
-    change in indexed entries.
+    absent before, removes present before).  Copy-on-write per bucket:
+    the input index is never mutated, because the artifact it belongs to
+    may still be running in another thread.  Returns the patched index
+    and the net change in indexed entries.
     """
     index = spec[6]
     new_index = dict(index)
@@ -453,7 +481,7 @@ def _patched_index(spec: _ChainSpec, adds, removes) -> tuple[_ChainSpec, int]:
         net -= 1
         if not values:
             del new_index[key]
-    return spec[:6] + (new_index,), net
+    return new_index, net
 
 
 def _make_step(
@@ -599,17 +627,31 @@ def _effective_changes(
 def _compile_chain(
     query: ConjunctiveQuery, structure: Structure
 ) -> CompiledComponent:
-    """The baked backtracking chain for a (cyclic) component."""
+    """The baked backtracking chain for a (cyclic) component.
+
+    Each distinct index shape is built once and shared by every atom of
+    that shape; ``indexed_facts`` still counts the entries per atom.
+    """
     ordered = _order_atoms(query, structure)
     slot_of: dict[Variable, int] = {}
     specs: list[_ChainSpec] = []
+    indexes: dict[tuple, dict] = {}
     indexed = 0
     for atom in ordered:
-        spec = _build_index(atom, structure, slot_of)
-        specs.append(spec)
-        indexed += sum(len(bucket) for bucket in spec[6].values())
+        layout = _chain_layout(atom, structure, slot_of)
+        shape = (atom.relation,) + layout[:4]
+        index = indexes.get(shape)
+        if index is None:
+            index = indexes[shape] = _build_index(atom.relation, layout, structure)
+        specs.append(layout + (index,))
+        indexed += sum(len(bucket) for bucket in index.values())
     return _assemble_chain(
-        query, tuple(ordered), tuple(specs), len(slot_of), structure, indexed
+        query,
+        tuple(ordered),
+        tuple(specs),
+        len(slot_of),
+        len(structure.domain),
+        indexed,
     )
 
 
@@ -618,7 +660,7 @@ def _assemble_chain(
     ordered: tuple,
     specs: tuple,
     slots: int,
-    structure: Structure,
+    domain_size: int,
     indexed: int,
 ) -> CompiledComponent:
     """Fold prebuilt per-atom specs into a runnable closure chain.
@@ -644,7 +686,6 @@ def _assemble_chain(
         )
         chain = _make_step(key_slots, new_slots, index, privacy[position], chain)
 
-    domain_size = len(structure.domain)
     free = len(query.variables) - slots
     first = chain
 
@@ -654,27 +695,35 @@ def _assemble_chain(
             return 0
         return total * domain_size**free
 
-    def refresh(new_structure: Structure, delta) -> CompiledComponent:
+    def refresh(
+        old_structure: Structure, new_structure: Structure, delta
+    ) -> CompiledComponent:
         touched = delta.touched_relations()
         changes = {
-            relation: _effective_changes(structure, relation, delta)
+            relation: _effective_changes(old_structure, relation, delta)
             for relation in touched
         }
+        # Patch each shared index once, so the sharing survives updates.
+        patched: dict[tuple, tuple[dict, int]] = {}
         new_specs: list[_ChainSpec] = []
         new_indexed = indexed
         for atom, spec in zip(ordered, specs):
             if atom.relation in touched:
-                adds, removes = changes[atom.relation]
-                spec, net = _patched_index(spec, adds, removes)
+                shape = (atom.relation,) + spec[:4]
+                if shape not in patched:
+                    adds, removes = changes[atom.relation]
+                    patched[shape] = _patched_index(spec, adds, removes)
+                    obs_metrics.add("compiled.index_refreshes")
+                index, net = patched[shape]
+                spec = spec[:6] + (index,)
                 new_indexed += net
-                obs_metrics.add("compiled.index_refreshes")
             new_specs.append(spec)
         return _assemble_chain(
             query,
             ordered,
             tuple(new_specs),
             slots,
-            new_structure,
+            len(new_structure.domain),
             new_indexed,
         )
 
@@ -705,16 +754,19 @@ def compile_component(
 
 
 def refresh_component(
-    artifact: CompiledComponent, structure: Structure, delta
+    artifact: CompiledComponent,
+    old_structure: Structure,
+    structure: Structure,
+    delta,
 ) -> CompiledComponent | None:
     """Incrementally re-target an artifact at a mutated database.
 
-    ``structure`` must be the artifact's compiled structure with ``delta``
-    applied (same schema, same constants — exactly what
-    :meth:`Structure.apply_delta` guarantees).  Untouched per-relation
-    indexes are shared between old and new artifact; touched chain
-    indexes are patched in O(|delta|); only acyclic join passes adjacent
-    to a touched relation are regrouped.  Returns ``None`` when the
+    ``structure`` must be ``old_structure`` — the artifact's compiled
+    structure — with ``delta`` applied (same schema, same constants —
+    exactly what :meth:`Structure.apply_delta` guarantees).  Untouched
+    per-relation indexes are shared between old and new artifact; touched
+    chain indexes are patched in O(|delta|); only acyclic join passes
+    adjacent to a touched relation are regrouped.  Returns ``None`` when the
     artifact predates refresh support — or when refreshing raises (e.g.
     the artifact's constants are not interpreted by ``structure``, which
     can happen when fingerprint coincidence misattributes an artifact to
@@ -722,7 +774,7 @@ def refresh_component(
     miss.  Successful refreshes count as ``compiled.artifact_refreshes``.
     """
     try:
-        refreshed = artifact.refresh(structure, delta)
+        refreshed = artifact.refresh(old_structure, structure, delta)
     except BagCQError:
         return None
     if refreshed is not None:

@@ -252,7 +252,12 @@ class DeltaEvaluator:
     def _migrate_compiled(
         self, delta: Delta, old: Structure, new: Structure
     ) -> int:
-        """Incrementally refresh this database's compiled artifacts."""
+        """Incrementally refresh this database's compiled artifacts.
+
+        Each refreshed artifact replaces the one it was refreshed from,
+        exactly as :meth:`_migrate_counts` re-keys counts: the old
+        version's entry is dropped once the new one is stored.
+        """
         touched = delta.touched_relations()
         domain_changed = old.domain != new.domain
         refreshed = 0
@@ -277,11 +282,13 @@ class DeltaEvaluator:
                 continue  # new version hits the same key
             if not self._entry_is_current((component, fingerprint), old):
                 continue
-            new_artifact = refresh_component(artifact, new, delta)
+            new_artifact = refresh_component(artifact, old, new, delta)
             if new_artifact is None:
                 continue  # pre-refresh artifact; a miss will recompile
             new_key = (component, component_fingerprint(component, new))
             self._plan_cache.store_compiled(new_key, new_artifact)
+            if new_key != key:  # a no-op delta keeps the fingerprint
+                self._plan_cache.compiled_discard(key)
             refreshed += 1
         return refreshed
 

@@ -102,15 +102,15 @@ def analyze_component(component: ConjunctiveQuery) -> ComponentProfile:
 class PlanCache:
     """A bounded, thread-safe LRU map from canonical components to profiles.
 
-    The durable key is the component's canonical (α-equivalence) form,
-    computed by :func:`repro.homomorphism.cache.canonical_component` — the
-    same keying discipline as
-    :class:`~repro.homomorphism.cache.CountCache`, so the two caches hit
-    on exactly the same repeated-component traffic.  An *exact-equality*
-    front level sits before canonicalization: search loops re-plan the
-    very same query object thousands of times, and a plain dict lookup is
-    far cheaper than 1-WL refinement.  Hits and misses are mirrored into
-    the active :mod:`repro.obs` registry as ``plan.cache_hits`` /
+    The key is the component's canonical (α-equivalence) form, computed by
+    :func:`repro.homomorphism.cache.canonical_component` — the same keying
+    discipline as :class:`~repro.homomorphism.cache.CountCache`, so the
+    two caches hit on exactly the same repeated-component traffic.  The
+    canonical form is memoized on the query object, so re-planning the
+    very same object — as search loops do thousands of times — skips the
+    1-WL refinement, and the cache never holds a caller's query or
+    structure.  Hits and misses are mirrored into the active
+    :mod:`repro.obs` registry as ``plan.cache_hits`` /
     ``plan.cache_misses``.
 
     The cache also stores the *compiled artifacts* of
@@ -122,10 +122,10 @@ class PlanCache:
     variables, the domain size).  The fingerprint keying makes the store
     version-aware: a database delta leaves every artifact of untouched
     relations addressable, and :meth:`invalidate_relations` /
-    :meth:`compiled_items` give delta evaluation relation-scoped eviction
-    and migration.  Artifacts have their own, smaller LRU bound and mirror
-    their traffic as ``plan.compile.cache_hits`` /
-    ``plan.compile.cache_misses``.
+    :meth:`compiled_items` / :meth:`compiled_discard` give delta
+    evaluation relation-scoped eviction and migration.  Artifacts have
+    their own, smaller LRU bound and mirror their traffic as
+    ``plan.compile.cache_hits`` / ``plan.compile.cache_misses``.
     """
 
     def __init__(
@@ -141,13 +141,11 @@ class PlanCache:
             )
         self._max_entries = max_entries
         self._entries: OrderedDict = OrderedDict()
-        self._front: OrderedDict = OrderedDict()
         self._lock = threading.Lock()
         self._hits = 0
         self._misses = 0
         self._compiled_max = compiled_entries
         self._compiled: OrderedDict = OrderedDict()
-        self._compiled_front: OrderedDict = OrderedDict()
         self._compiled_hits = 0
         self._compiled_misses = 0
         self._durable = None
@@ -164,69 +162,44 @@ class PlanCache:
         """
         self._durable = durable
 
-    def _record_hit(self) -> None:
-        self._hits += 1
-        obs_metrics.add("plan.cache_hits")
-
     def profile(self, component: ConjunctiveQuery) -> tuple[ComponentProfile, bool]:
         """``(profile, was_hit)`` for the component, analyzing on a miss."""
         from repro.homomorphism.cache import canonical_component
 
-        with self._lock:
-            cached = self._front.get(component)
-            if cached is not None:
-                self._front.move_to_end(component)
-                self._record_hit()
-                return cached, True
         key = canonical_component(component)
         with self._lock:
             cached = self._entries.get(key)
             if cached is not None:
                 self._entries.move_to_end(key)
-                self._store_front(component, cached)
-                self._record_hit()
+                self._hits += 1
+                obs_metrics.add("plan.cache_hits")
                 return cached, True
             self._misses += 1
         obs_metrics.add("plan.cache_misses")
         computed = analyze_component(component)
-        with self._lock:
-            self._entries[key] = computed
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-            self._store_front(component, computed)
+        self.store_profile(key, computed)
         if self._durable is not None:
             self._durable.record_plan(key, computed)
         return computed, False
 
     def profile_items(self) -> list[tuple]:
-        """Snapshot of the canonical profile store (coldest first) —
-        what ``snapshot`` persists.  Front-level (exact-object) entries
-        are derived and excluded."""
+        """Snapshot of the profile store (coldest first) — what
+        ``snapshot`` persists."""
         with self._lock:
             return list(self._entries.items())
 
     def store_profile(
         self, component: ConjunctiveQuery, profile: ComponentProfile
     ) -> None:
-        """Insert a profile under an externally-computed canonical key.
+        """Insert a profile under an already-canonical key.
 
-        Restore uses this to warm the canonical level without paying
-        re-analysis; the exact-object front refills naturally on use.
+        Restore uses this to warm the store without paying re-analysis.
         """
         with self._lock:
             self._entries[component] = profile
             self._entries.move_to_end(component)
             while len(self._entries) > self._max_entries:
                 self._entries.popitem(last=False)
-
-    def _store_front(
-        self, component: ConjunctiveQuery, profile: ComponentProfile
-    ) -> None:
-        self._front[component] = profile
-        self._front.move_to_end(component)
-        while len(self._front) > self._max_entries:
-            self._front.popitem(last=False)
 
     def compiled_artifact(self, component: ConjunctiveQuery, structure, build):
         """``(artifact, was_hit)``; calls ``build(canonical, structure)`` on a miss.
@@ -235,22 +208,13 @@ class PlanCache:
         *canonical* form, so α-equivalent components on the same
         structure — the ``φ ↑ k`` copies — share one compilation.
         Homomorphism counts are invariant under variable renaming, which
-        is exactly what makes the shared artifact sound.  An
-        exact-equality front level mirrors :meth:`profile`'s.
+        is exactly what makes the shared artifact sound.
         """
         from repro.homomorphism.cache import (
             canonical_component,
             component_fingerprint,
         )
 
-        front_key = (component, structure)
-        with self._lock:
-            cached = self._compiled_front.get(front_key)
-            if cached is not None:
-                self._compiled_front.move_to_end(front_key)
-                self._compiled_hits += 1
-                obs_metrics.add("plan.compile.cache_hits")
-                return cached, True
         key = (
             canonical_component(component),
             component_fingerprint(component, structure),
@@ -259,42 +223,31 @@ class PlanCache:
             cached = self._compiled.get(key)
             if cached is not None:
                 self._compiled.move_to_end(key)
-                self._store_compiled_front(front_key, cached)
                 self._compiled_hits += 1
                 obs_metrics.add("plan.compile.cache_hits")
                 return cached, True
             self._compiled_misses += 1
         obs_metrics.add("plan.compile.cache_misses")
         artifact = build(key[0], structure)
-        with self._lock:
-            self._compiled[key] = artifact
-            self._compiled.move_to_end(key)
-            while len(self._compiled) > self._compiled_max:
-                self._compiled.popitem(last=False)
-            self._store_compiled_front(front_key, artifact)
+        self.store_compiled(key, artifact)
         return artifact, False
 
-    def _store_compiled_front(self, front_key, artifact) -> None:
-        self._compiled_front[front_key] = artifact
-        self._compiled_front.move_to_end(front_key)
-        while len(self._compiled_front) > self._compiled_max:
-            self._compiled_front.popitem(last=False)
-
     def compiled_items(self) -> list[tuple]:
-        """Snapshot of the durable artifact store (for delta migration)."""
+        """Snapshot of the artifact store (for delta migration)."""
         with self._lock:
             return list(self._compiled.items())
 
     def compiled_discard(self, key) -> bool:
-        """Drop one durable artifact entry; True when it was present."""
+        """Drop one artifact entry; True when it was present."""
         with self._lock:
             return self._compiled.pop(key, None) is not None
 
     def store_compiled(self, key, artifact) -> None:
-        """Insert a durable artifact under an externally-computed key.
+        """Insert an artifact under an externally-computed key.
 
         Delta evaluation uses this to re-home a refreshed artifact under
-        the mutated database's fingerprint without paying a rebuild.
+        the mutated database's fingerprint without paying a rebuild, then
+        drops the superseded entry with :meth:`compiled_discard`.
         """
         with self._lock:
             self._compiled[key] = artifact
@@ -307,11 +260,8 @@ class PlanCache:
     ) -> int:
         """Evict compiled artifacts depending on any of ``relations``.
 
-        Profiles are structure-independent and survive untouched.  The
-        exact-object front level is cleared wholesale: its keys embed full
-        structures, so stale entries can never be *hit* after a mutation,
-        but dropping them keeps the store's contents meaningful.  Returns
-        the number of durable entries evicted.
+        Profiles are structure-independent and survive untouched.
+        Returns the number of artifacts evicted.
         """
         touched = frozenset(relations)
         dropped = 0
@@ -332,7 +282,6 @@ class PlanCache:
                 if affected:
                     del self._compiled[key]
                     dropped += 1
-            self._compiled_front.clear()
         return dropped
 
     def compiled_stats(self) -> dict:
@@ -347,9 +296,7 @@ class PlanCache:
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
-            self._front.clear()
             self._compiled.clear()
-            self._compiled_front.clear()
 
     def __len__(self) -> int:
         return len(self._entries)

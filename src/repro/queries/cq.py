@@ -46,7 +46,15 @@ class ConjunctiveQuery:
     'E(x, y) & E(y, x)'
     """
 
-    __slots__ = ("_atoms", "_inequalities", "_schema", "_variables", "_constants")
+    __slots__ = (
+        "_atoms",
+        "_inequalities",
+        "_schema",
+        "_variables",
+        "_constants",
+        "_canonical",
+        "_components",
+    )
 
     def __init__(
         self,
@@ -89,6 +97,11 @@ class ConjunctiveQuery:
             constants.update(ineq.constants())
         self._variables = frozenset(variables)
         self._constants = frozenset(constants)
+        # Per-object memos: the canonical form is filled in by
+        # :func:`repro.homomorphism.cache.canonical_component`, the
+        # component split by :meth:`connected_components`.
+        self._canonical: ConjunctiveQuery | None = None
+        self._components: tuple | object | None = None
 
     # -- accessors -------------------------------------------------------
 
@@ -271,7 +284,25 @@ class ConjunctiveQuery:
         first when present.  The product of the component counts equals the
         count of the whole query — the factorization the evaluation engine
         relies on.
+
+        The split is memoized per query object: every call returns a fresh
+        list of the *same* component objects, and a query with a single
+        component is that component itself.  Per-object memos on the
+        components, such as the canonical form of
+        :func:`repro.homomorphism.cache.canonical_component`, therefore
+        carry over from one call to the next.
         """
+        components = self._components
+        if components is None:
+            components = self._split_components()
+            # Not ``(self,)``: that would make every connected query a
+            # reference cycle, freed only by the cyclic collector.
+            self._components = components = (
+                _CONNECTED if len(components) == 1 else tuple(components)
+            )
+        return [self] if components is _CONNECTED else list(components)
+
+    def _split_components(self) -> list["ConjunctiveQuery"]:
         parent: dict[Variable, Variable] = {v: v for v in self._variables}
 
         def find(v: Variable) -> Variable:
@@ -328,6 +359,11 @@ class ConjunctiveQuery:
 
     # -- value semantics ---------------------------------------------------
 
+    def __reduce__(self):
+        # Pickle the atoms and inequalities only: the memos are derived
+        # and rebuilt on demand in the receiving process.
+        return (type(self), (self._atoms, self._inequalities))
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ConjunctiveQuery):
             return NotImplemented
@@ -353,6 +389,9 @@ class ConjunctiveQuery:
             f"variables={len(self._variables)})"
         )
 
+
+#: ``_components`` memo of a query that is its own single component.
+_CONNECTED = object()
 
 #: The empty conjunction — satisfied exactly once in every structure.
 TRUE = ConjunctiveQuery()

@@ -130,8 +130,7 @@ class TestPlanCache:
         cache.profile(path_query(2))
         cache.profile(cycle_query(3))
         assert len(cache) == 1
-        # The evicted path profile must be recomputed (a fresh object
-        # dodges the exact-equality front level).
+        # The evicted path profile must be recomputed.
         _, was_hit = cache.profile(parse_query("E(q1, q2) & E(q2, q3)"))
         assert not was_hit
 

@@ -1,0 +1,327 @@
+"""What the caches keep: one canonicalization per query, no pinned inputs.
+
+A server's memory should track its working set, not the number of
+requests it has served.  These tests check object identity, reference
+liveness and entry counts — never RSS:
+
+* a query object is canonicalized (1-WL refined) at most once, however
+  many layers key on it;
+* the planner cache holds no reference to a caller's query or structure;
+* delta evaluation leaves one compiled artifact per live component, not
+  one per version;
+* compiled artifacts reference the structure's fact tuples instead of
+  copying them, share equal chain indexes, and keep neither structure
+  they were built or refreshed from alive.
+"""
+
+from __future__ import annotations
+
+import gc
+import inspect
+import pickle
+import random
+import weakref
+
+import pytest
+
+import repro.homomorphism.cache as cache_module
+from repro.homomorphism import count
+from repro.homomorphism.backtracking import count_homomorphisms
+from repro.homomorphism.cache import (
+    CountCache,
+    canonical_component,
+    component_cache_key,
+)
+from repro.homomorphism.compiled import compile_component, refresh_component
+from repro.homomorphism.delta import DeltaEvaluator
+from repro.planner import PlanCache, select_for
+from repro.planner.plan import default_plan_cache
+from repro.queries import ConjunctiveQuery, parse_query
+from repro.relational import Schema, Structure
+from repro.relational.structure import Delta
+from repro.service.protocol import request_key
+
+
+class _WeakQuery(ConjunctiveQuery):
+    """A query that accepts weak references (the base class's slots do not)."""
+
+
+class _WeakStructure(Structure):
+    """A structure that accepts weak references."""
+
+
+def _graph(edges, n: int = 6, cls=Structure) -> Structure:
+    return cls(Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n))
+
+
+def _random_graph(seed: int, n: int = 7, edges: int = 20, cls=Structure):
+    rng = random.Random(seed)
+    return _graph(
+        {(rng.randrange(n), rng.randrange(n)) for _ in range(edges)}, n, cls
+    )
+
+
+def _closure(function, name: str):
+    """The value a closure captured under ``name``."""
+    return inspect.getclosurevars(function).nonlocals[name]
+
+
+def _chain_specs(artifact):
+    return _closure(artifact._refresh, "specs")
+
+
+#: All six directed edges on three variables: cyclic, so it compiles to
+#: a chain; after the first atom binds two variables, the other five
+#: atoms bind at most one new variable each, and the four fully-bound
+#: ones share one membership index.
+BIDIRECTED_TRIANGLE = (
+    "E(p, q) & E(q, r) & E(r, p) & E(q, p) & E(r, q) & E(p, r)"
+)
+
+
+@pytest.fixture
+def clean_default_plan_cache():
+    default_plan_cache().clear()
+    yield default_plan_cache()
+    default_plan_cache().clear()
+
+
+class TestCanonicalizeOnce:
+    def test_one_refinement_across_every_layer(self, monkeypatch):
+        runs = []
+        real = cache_module.refine_colors
+
+        def counting(initial, signature):
+            runs.append(len(initial))
+            return real(initial, signature)
+
+        monkeypatch.setattr(cache_module, "refine_colors", counting)
+        query = parse_query("E(u1, u2) & E(u2, u3) & E(u3, u1)")
+        structure = _random_graph(0)
+        plan_cache = PlanCache()
+
+        request_key("evaluate", query=query, structure=structure)
+        select_for(query, structure, cache=plan_cache)
+        component_cache_key(query, structure, "compiled")
+        plan_cache.compiled_artifact(query, structure, compile_component)
+        plan_cache.compiled_artifact(query, structure, compile_component)
+        assert len(runs) == 1
+
+        # A renamed copy is a different object: it pays its own
+        # refinement once, then hits every cache the first one filled.
+        renamed = parse_query("E(w1, w2) & E(w2, w3) & E(w3, w1)")
+        _, profile_hit = plan_cache.profile(renamed)
+        _, artifact_hit = plan_cache.compiled_artifact(
+            renamed, structure, compile_component
+        )
+        assert profile_hit and artifact_hit
+        assert len(runs) == 2
+
+    def test_canonical_form_is_memoized_on_the_query(self):
+        query = parse_query("E(x, y) & E(y, z) & x != z")
+        first = canonical_component(query)
+        assert canonical_component(query) is first
+        assert first == canonical_component(
+            parse_query("E(a, b) & E(b, c) & a != c")
+        )
+
+    def test_ground_query_is_its_own_canonical_form(self):
+        query = parse_query("E(#a, #b)")
+        assert canonical_component(query) is query
+
+    def test_components_are_memoized_objects_in_fresh_lists(self):
+        query = parse_query("E(x, y) & E(y, x) & E(u, v) & F(#c)")
+        first = query.connected_components()
+        second = query.connected_components()
+        assert first is not second
+        assert len(first) == 3
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        first.clear()  # callers own the list, not the memo
+        assert len(query.connected_components()) == 3
+
+    def test_connected_query_is_its_own_component(self):
+        query = parse_query("E(x, y) & E(y, z) & x != z")
+        assert query.connected_components() == [query]
+        assert query.connected_components()[0] is query
+        ground = parse_query("E(#a, #b) & F(#c)")
+        assert ground.connected_components()[0] is ground
+        assert ConjunctiveQuery().connected_components() == []
+
+    def test_memos_do_not_travel_in_pickles(self):
+        query = parse_query("E(x, y) & E(y, x) & E(u, v)")
+        canonical_component(query)
+        components = query.connected_components()
+        clone = pickle.loads(pickle.dumps(query))
+        assert clone == query
+        assert clone.connected_components() == components
+        assert canonical_component(clone) == canonical_component(query)
+
+    def test_count_reuses_component_canonical_forms(self, monkeypatch):
+        runs = []
+        real = cache_module.refine_colors
+
+        def counting(initial, signature):
+            runs.append(len(initial))
+            return real(initial, signature)
+
+        monkeypatch.setattr(cache_module, "refine_colors", counting)
+        query = parse_query(
+            " & ".join(f"E(a{i}, b{i}) & E(b{i}, c{i})" for i in range(5))
+        )
+        cache = CountCache()
+        for seed in range(4):
+            count(query, _random_graph(seed), engine="auto", cache=cache)
+        assert len(runs) == 5  # once per component object, not per count
+
+
+class TestPlanCachePinsNothing:
+    def test_caller_query_and_structure_are_released(self):
+        plan_cache = PlanCache()
+        query = _WeakQuery(
+            parse_query("E(k1, k2) & E(k2, k3) & E(k3, k1)").atoms
+        )
+        structure = _random_graph(3, cls=_WeakStructure)
+        expected = count_homomorphisms(query, structure)
+        plan_cache.profile(query)
+        artifact, _ = plan_cache.compiled_artifact(
+            query, structure, compile_component
+        )
+        assert artifact.run() == expected
+        query_ref, structure_ref = weakref.ref(query), weakref.ref(structure)
+        del query, structure, artifact
+        gc.collect()
+        assert query_ref() is None
+        assert structure_ref() is None
+        assert len(plan_cache) == 1
+        assert plan_cache.compiled_stats()["entries"] == 1
+
+
+class TestDeltaKeepsLiveArtifactsOnly:
+    def test_one_artifact_per_live_component(self, clean_default_plan_cache):
+        # The E21 shape: component i is a 4-cycle in its own relation.
+        rng = random.Random(5)
+        relations = [f"R{i}" for i in range(4)]
+        n = 6
+        structure = Structure(
+            Schema.from_arities({name: 2 for name in relations}),
+            {
+                name: {(rng.randrange(n), rng.randrange(n)) for _ in range(10)}
+                for name in relations
+            },
+            domain=range(n),
+        )
+        query = parse_query(
+            " & ".join(
+                f"{name}(a{i}, b{i}) & {name}(b{i}, c{i}) & "
+                f"{name}(c{i}, d{i}) & {name}(d{i}, a{i})"
+                for i, name in enumerate(relations)
+            )
+        )
+        evaluator = DeltaEvaluator(structure, engine="compiled")
+        evaluator.evaluate(query)
+        live = len(query.connected_components())
+        plan_cache = clean_default_plan_cache
+        assert plan_cache.compiled_stats()["entries"] == live
+        for step in range(20):
+            relation = relations[step % len(relations)]
+            facts = sorted(evaluator.structure.facts(relation))
+            if step % 5 == 4:
+                # A no-op insert keeps the fingerprint and the artifact.
+                delta = Delta(inserts=[(relation, facts[0])])
+            elif step % 2 == 0:
+                fact = (rng.randrange(n), rng.randrange(n))
+                delta = Delta(inserts=[(relation, fact)])
+            else:
+                delta = Delta(deletes=[(relation, rng.choice(facts))])
+            report = evaluator.apply(delta)
+            assert report.refreshed_artifacts == 1
+            assert plan_cache.compiled_stats()["entries"] == live
+            cold = count(
+                query,
+                evaluator.structure,
+                engine="backtracking",
+                cache=CountCache(),
+            )
+            assert evaluator.evaluate(query) == cold
+        assert plan_cache.compiled_stats()["entries"] == live
+
+
+class TestArtifactsReferenceFacts:
+    def test_acyclic_rows_are_the_structures_facts(self):
+        structure = _random_graph(1)
+        artifact = compile_component(parse_query("E(x, y) & E(y, z)"), structure)
+        assert artifact.mode == "acyclic"
+        facts = {id(fact) for fact in structure.facts("E")}
+        rows = _closure(artifact._refresh, "state")[1]
+        assert len(rows) == 2
+        assert all(id(row) in facts for atom_rows in rows for row in atom_rows)
+
+    def test_filtered_acyclic_rows_are_still_exact(self):
+        structure = _graph({(0, 0), (0, 1), (1, 1), (2, 0)})
+        query = parse_query("E(x, x) & E(x, y)")
+        artifact = compile_component(query, structure)
+        assert artifact.run() == count_homomorphisms(query, structure)
+
+    def test_chain_shares_same_shape_indexes(self):
+        structure = _random_graph(2, n=8, edges=40)
+        query = parse_query(BIDIRECTED_TRIANGLE)
+        artifact = compile_component(query, structure)
+        assert artifact.mode == "chain"
+        assert artifact.run() == count_homomorphisms(query, structure)
+        specs = _chain_specs(artifact)
+        membership = [spec[6] for spec in specs if not spec[5]]
+        assert len(membership) == 4
+        assert all(index is membership[0] for index in membership)
+        facts = {id(fact) for fact in structure.facts("E")}
+        assert all(id(key) in facts for key in membership[0])
+        # The first atom binds both variables: its extensions are facts.
+        first = specs[0][6]
+        assert all(
+            id(value) in facts for bucket in first.values() for value in bucket
+        )
+        # ``indexed_facts`` still counts every atom's entries.
+        assert artifact.indexed_facts == sum(
+            sum(len(bucket) for bucket in spec[6].values()) for spec in specs
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_refreshed_chain_matches_a_fresh_compile(self, seed):
+        rng = random.Random(seed)
+        query = parse_query(BIDIRECTED_TRIANGLE)
+        structure = _random_graph(seed, n=6, edges=22)
+        artifact = compile_component(query, structure)
+        for _ in range(5):
+            fact = (rng.randrange(6), rng.randrange(6))
+            if rng.random() < 0.5:
+                delta = Delta(inserts=[("E", fact), ("E", fact[::-1])])
+            else:
+                delta = Delta(deletes=[("E", fact)])
+            new = structure.apply_delta(delta)
+            artifact = refresh_component(artifact, structure, new, delta)
+            fresh = compile_component(query, new)
+            assert artifact.run() == fresh.run() == count_homomorphisms(
+                query, new
+            )
+            assert artifact.indexed_facts == fresh.indexed_facts
+            membership = [spec[6] for spec in _chain_specs(artifact) if not spec[5]]
+            assert all(index is membership[0] for index in membership)
+            structure = new
+
+    @pytest.mark.parametrize(
+        "text", ["E(x, y) & E(y, z)", BIDIRECTED_TRIANGLE]
+    )
+    def test_artifacts_keep_no_structure_alive(self, text):
+        query = parse_query(text)
+        old = _random_graph(4, cls=_WeakStructure)
+        artifact = compile_component(query, old)
+        delta = Delta(inserts=[("E", (0, 5))])
+        new = _WeakStructure(
+            old.schema, {"E": old.facts("E") | {(0, 5)}}, domain=old.domain
+        )
+        refreshed = refresh_component(artifact, old, new, delta)
+        expected = count_homomorphisms(query, new)
+        old_ref, new_ref = weakref.ref(old), weakref.ref(new)
+        del old, new
+        gc.collect()
+        assert old_ref() is None and new_ref() is None
+        assert refreshed.run() == expected

@@ -4,6 +4,8 @@ Optional packages (networkx, numpy, scipy) are test references or dev
 extras.  A fresh interpreter importing everything ``bagcq serve`` and
 ``bagcq serve --shards N`` load must not pull any of them in: each costs
 every server and worker process its import time and resident memory.
+The same holds for the package's own reductions, polynomials and
+decision procedures, which the package root re-exports lazily.
 """
 
 import os
@@ -15,8 +17,12 @@ import repro
 
 OPTIONAL = ("networkx", "numpy", "scipy")
 
+#: Subpackages no server request path needs at start-up.
+UNSERVED = ("repro.core", "repro.polynomials", "repro.decision")
 
-def test_server_imports_load_no_optional_packages():
+
+def _loaded_after_server_imports(names: tuple[str, ...]) -> str:
+    """Which of ``names`` a fresh interpreter holds after the server imports."""
     environment = dict(os.environ)
     package_root = str(Path(repro.__file__).resolve().parent.parent)
     environment["PYTHONPATH"] = os.pathsep.join(
@@ -25,7 +31,7 @@ def test_server_imports_load_no_optional_packages():
     probe = (
         "import sys\n"
         "import repro.cli, repro.service, repro.shard\n"
-        f"print(sorted(name for name in {OPTIONAL!r} if name in sys.modules))\n"
+        f"print(sorted(name for name in {names!r} if name in sys.modules))\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe],
@@ -35,4 +41,22 @@ def test_server_imports_load_no_optional_packages():
         timeout=60,
         check=True,
     )
-    assert result.stdout.strip() == "[]", result.stdout
+    return result.stdout.strip()
+
+
+def test_server_imports_load_no_optional_packages():
+    assert _loaded_after_server_imports(OPTIONAL) == "[]"
+
+
+def test_server_imports_load_no_unserved_subpackages():
+    assert _loaded_after_server_imports(UNSERVED) == "[]"
+
+
+def test_package_root_resolves_every_export():
+    namespace: dict = {}
+    exec("from repro import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(
+        repro.__all__
+    )
+    assert repro.count is namespace["count"]
+    assert set(repro.__all__) <= set(dir(repro))
