@@ -8,7 +8,7 @@ the Hilbert-10th-problem reductions of Section 4 and Appendix B, and the
 structure operations and equivalences of Section 5.
 """
 
-import importlib
+from repro import _lazy
 
 #: Where each re-exported name lives.  Resolved on first attribute access
 #: (PEP 562), so importing one subpackage — ``repro.cli`` for a server —
@@ -56,19 +56,7 @@ _EXPORTS = {
     "product": "repro.relational",
 }
 
-
-def __getattr__(name: str):
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = getattr(importlib.import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-def __dir__() -> list[str]:
-    return sorted(set(globals()) | set(_EXPORTS))
-
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
 
 __version__ = "1.0.0"
 

@@ -104,12 +104,15 @@ class ContainmentCache:
 
     def store(self, key, value: tuple[bool, int | None]) -> None:
         with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            else:
+                # Evict before inserting (see CountCache.store).
+                while len(self._entries) >= self._max_entries:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+                    obs_metrics.add("contain.cache.evictions")
             self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                obs_metrics.add("contain.cache.evictions")
         if self._durable is not None:
             self._durable.record_containment(key, value)
 
@@ -159,7 +162,8 @@ class ContainmentCache:
         return dropped
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     @property
     def max_entries(self) -> int:

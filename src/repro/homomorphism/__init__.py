@@ -1,66 +1,43 @@
 """Homomorphism counting, enumeration, and containment tests."""
 
-from repro.homomorphism.acyclic import (
-    count_homomorphisms_acyclic,
-    is_acyclic,
-    join_tree,
-)
-from repro.homomorphism.backtracking import (
-    count_homomorphisms,
-    enumerate_homomorphisms,
-    exists_homomorphism,
-    is_homomorphism,
-)
-from repro.homomorphism.batch import count_many
-from repro.homomorphism.cache import CountCache, canonical_component
-from repro.homomorphism.compiled import (
-    compile_component,
-    compiled_supported,
-    count_homomorphisms_compiled,
-    refresh_component,
-)
-from repro.homomorphism.delta import DeltaEvaluator, DeltaReport, delta_affects
-from repro.homomorphism.containment import (
-    bag_contained_on,
-    bag_counterexample_on,
-    set_contained,
-)
-from repro.homomorphism.engine import count, count_at_least, count_ucq, evaluate
-from repro.homomorphism.surjective import (
-    find_surjective_homomorphism,
-    has_surjective_homomorphism,
-    query_homomorphisms,
-)
-from repro.homomorphism.treewidth_dp import count_homomorphisms_td, query_treewidth
+from repro import _lazy
 
-__all__ = [
-    "CountCache",
-    "DeltaEvaluator",
-    "DeltaReport",
-    "bag_contained_on",
-    "bag_counterexample_on",
-    "canonical_component",
-    "compile_component",
-    "compiled_supported",
-    "count",
-    "count_at_least",
-    "count_homomorphisms",
-    "count_many",
-    "count_homomorphisms_acyclic",
-    "count_homomorphisms_compiled",
-    "count_homomorphisms_td",
-    "count_ucq",
-    "delta_affects",
-    "enumerate_homomorphisms",
-    "evaluate",
-    "exists_homomorphism",
-    "find_surjective_homomorphism",
-    "has_surjective_homomorphism",
-    "is_acyclic",
-    "is_homomorphism",
-    "join_tree",
-    "query_homomorphisms",
-    "query_treewidth",
-    "refresh_component",
-    "set_contained",
-]
+#: Where each re-exported name lives.  Resolved on first attribute access
+#: (PEP 562), as in the package root, so importing one submodule runs
+#: this file without loading its siblings: a server loads the cache and
+#: the engines it counts with, not ``count_many``'s process pool.
+_EXPORTS = {
+    "CountCache": "repro.homomorphism.cache",
+    "DeltaEvaluator": "repro.homomorphism.delta",
+    "DeltaReport": "repro.homomorphism.delta",
+    "bag_contained_on": "repro.homomorphism.containment",
+    "bag_counterexample_on": "repro.homomorphism.containment",
+    "canonical_component": "repro.homomorphism.cache",
+    "compile_component": "repro.homomorphism.compiled",
+    "compiled_supported": "repro.homomorphism.compiled",
+    "count": "repro.homomorphism.engine",
+    "count_at_least": "repro.homomorphism.engine",
+    "count_homomorphisms": "repro.homomorphism.backtracking",
+    "count_many": "repro.homomorphism.batch",
+    "count_homomorphisms_acyclic": "repro.homomorphism.acyclic",
+    "count_homomorphisms_compiled": "repro.homomorphism.compiled",
+    "count_homomorphisms_td": "repro.homomorphism.treewidth_dp",
+    "count_ucq": "repro.homomorphism.engine",
+    "delta_affects": "repro.homomorphism.delta",
+    "enumerate_homomorphisms": "repro.homomorphism.backtracking",
+    "evaluate": "repro.homomorphism.engine",
+    "exists_homomorphism": "repro.homomorphism.backtracking",
+    "find_surjective_homomorphism": "repro.homomorphism.surjective",
+    "has_surjective_homomorphism": "repro.homomorphism.surjective",
+    "is_acyclic": "repro.homomorphism.acyclic",
+    "is_homomorphism": "repro.homomorphism.backtracking",
+    "join_tree": "repro.homomorphism.acyclic",
+    "query_homomorphisms": "repro.homomorphism.surjective",
+    "query_treewidth": "repro.homomorphism.treewidth_dp",
+    "refresh_component": "repro.homomorphism.compiled",
+    "set_contained": "repro.homomorphism.containment",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -36,7 +36,6 @@ and are *not* folded back into the parent's registry.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Iterable, Sequence
 
 from repro.errors import EvaluationError
@@ -99,6 +98,10 @@ def _evaluate_schedule(
             registry.counter("batch.cost_ordered").inc()
     max_workers = min(workers, len(schedule))
     try:
+        # Imported here: the process pool pulls in multiprocessing,
+        # pickle and subprocess, which a serial caller never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=max_workers) as pool:
             chunksize = max(1, len(schedule) // (4 * max_workers))
             mapped = list(

@@ -331,12 +331,16 @@ class CountCache:
 
     def store(self, key, value: int) -> None:
         with self._lock:
+            if key in self._entries:
+                self._entries.move_to_end(key)
+            else:
+                # Evict before inserting, so the cache never holds more
+                # than max_entries, not even for a moment.
+                while len(self._entries) >= self._max_entries:
+                    self._entries.popitem(last=False)
+                    self._evictions += 1
+                    obs_metrics.add("cache.evictions")
             self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-                obs_metrics.add("cache.evictions")
         if self._durable is not None:
             # Capacity evictions above do NOT touch the durable tier:
             # disk is the bigger cache, and a re-evicted entry restoring
@@ -398,7 +402,8 @@ class CountCache:
         return dropped
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     @property
     def max_entries(self) -> int:

@@ -196,10 +196,13 @@ class PlanCache:
         Restore uses this to warm the store without paying re-analysis.
         """
         with self._lock:
+            if component in self._entries:
+                self._entries.move_to_end(component)
+            else:
+                # Evict before inserting (see CountCache.store).
+                while len(self._entries) >= self._max_entries:
+                    self._entries.popitem(last=False)
             self._entries[component] = profile
-            self._entries.move_to_end(component)
-            while len(self._entries) > self._max_entries:
-                self._entries.popitem(last=False)
 
     def compiled_artifact(self, component: ConjunctiveQuery, structure, build):
         """``(artifact, was_hit)``; calls ``build(canonical, structure)`` on a miss.
@@ -250,10 +253,12 @@ class PlanCache:
         drops the superseded entry with :meth:`compiled_discard`.
         """
         with self._lock:
+            if key in self._compiled:
+                self._compiled.move_to_end(key)
+            else:
+                while len(self._compiled) >= self._compiled_max:
+                    self._compiled.popitem(last=False)
             self._compiled[key] = artifact
-            self._compiled.move_to_end(key)
-            while len(self._compiled) > self._compiled_max:
-                self._compiled.popitem(last=False)
 
     def invalidate_relations(
         self, relations, *, domain_changed: bool = False
@@ -299,7 +304,8 @@ class PlanCache:
             self._compiled.clear()
 
     def __len__(self) -> int:
-        return len(self._entries)
+        with self._lock:
+            return len(self._entries)
 
     @property
     def max_entries(self) -> int:

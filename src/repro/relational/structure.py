@@ -12,13 +12,19 @@ Structures are immutable value objects; bulk construction goes through
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
 from repro.errors import ConstantError, SchemaError
 from repro.naming import HEART, SPADE
 from repro.relational.schema import RelationSymbol, Schema
+
+try:
+    # CPython's hashlib.blake2b is this builtin; importing it from here
+    # skips _hashlib and the OpenSSL library that module maps.
+    from _blake2 import blake2b
+except ImportError:  # pragma: no cover — interpreters without _blake2
+    from hashlib import blake2b
 
 __all__ = ["Delta", "Structure", "StructureBuilder"]
 
@@ -39,7 +45,7 @@ def _digest(payload: object) -> int:
     strings, tuples, terms).  ``hash()`` would be salted per process.
     """
     text = repr(payload).encode("utf-8", "backslashreplace")
-    return int.from_bytes(hashlib.blake2b(text, digest_size=16).digest(), "big")
+    return int.from_bytes(blake2b(text, digest_size=16).digest(), "big")
 
 
 def _fact_digest(relation: str, values: tuple) -> int:
@@ -246,7 +252,7 @@ class Structure:
         Defined as the XOR of a per-symbol base (covering name and arity)
         with the digest of every fact — order-independent, and updated in
         O(|delta|) by :meth:`apply_delta` (XOR is its own inverse).  Stable
-        across processes: built on :mod:`hashlib`, not the salted ``hash``.
+        across processes: built on ``blake2b``, not the salted ``hash``.
         """
         fingerprint = self._fingerprints.get(relation)
         if fingerprint is None:
@@ -294,7 +300,7 @@ class Structure:
 
     def fingerprint(self) -> str:
         """A short stable hex digest of the full fingerprint vector."""
-        return hashlib.blake2b(
+        return blake2b(
             repr(self.fingerprint_vector()).encode("utf-8", "backslashreplace"),
             digest_size=8,
         ).hexdigest()

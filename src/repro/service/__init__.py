@@ -6,9 +6,10 @@ serving goal needs the opposite shape: a warm process that amortizes the
 :class:`~repro.planner.analyze.PlanCache` across millions of requests.
 This package provides exactly that, on the standard library alone:
 
-* :class:`EvaluationServer` (``server.py``) — a ``ThreadingHTTPServer``
-  front over a bounded worker pool, with admission control (bounded
-  queue, structured 429 shedding), **single-flight coalescing** of
+* :class:`EvaluationServer` (``server.py``) — an HTTP/1.1 front
+  (``wire.py``, on ``socketserver``; the shard router shares it) over a
+  bounded worker pool, with admission control (bounded queue,
+  structured 429 shedding), **single-flight coalescing** of
   identical in-flight requests keyed by the canonicalization discipline
   the caches already use, per-request deadlines, request-scoped tracing
   (``X-Trace-Id``/``X-Request-Id`` in and out, a bounded flight recorder
@@ -30,47 +31,32 @@ one from the shell.  See ``docs/SERVICE.md`` for the endpoint and
 tuning reference.
 """
 
-from __future__ import annotations
+from repro import _lazy
 
-from repro.service.client import (
-    DeadlineExceeded,
-    RemoteError,
-    ServiceClient,
-    ServiceProtocolError,
-    ServiceUnavailable,
-)
-from repro.service.databases import DatabaseRegistry, NamedDatabase
-from repro.service.protocol import (
-    PROTOCOL_VERSION,
-    REQUEST_ID_HEADER,
-    TRACE_ID_HEADER,
-    error_envelope,
-    error_from_exception,
-    status_for_kind,
-)
-from repro.service.server import (
-    EvaluationServer,
-    RequestContext,
-    ServerConfig,
-    serve,
-)
+#: Where each re-exported name lives.  Resolved on first attribute access
+#: (PEP 562), as in the package root, so importing one submodule runs
+#: this file without loading its siblings: ``bagcq serve`` loads the
+#: server, not the client's ``urllib`` stack.
+_EXPORTS = {
+    "DatabaseRegistry": "repro.service.databases",
+    "DeadlineExceeded": "repro.service.client",
+    "EvaluationServer": "repro.service.server",
+    "NamedDatabase": "repro.service.databases",
+    "PROTOCOL_VERSION": "repro.service.protocol",
+    "REQUEST_ID_HEADER": "repro.service.protocol",
+    "RemoteError": "repro.service.client",
+    "RequestContext": "repro.service.server",
+    "ServerConfig": "repro.service.server",
+    "ServiceClient": "repro.service.client",
+    "ServiceProtocolError": "repro.service.client",
+    "ServiceUnavailable": "repro.service.client",
+    "TRACE_ID_HEADER": "repro.service.protocol",
+    "error_envelope": "repro.service.protocol",
+    "error_from_exception": "repro.service.protocol",
+    "serve": "repro.service.server",
+    "status_for_kind": "repro.service.protocol",
+}
 
-__all__ = [
-    "DatabaseRegistry",
-    "DeadlineExceeded",
-    "EvaluationServer",
-    "NamedDatabase",
-    "PROTOCOL_VERSION",
-    "REQUEST_ID_HEADER",
-    "RemoteError",
-    "RequestContext",
-    "ServerConfig",
-    "ServiceClient",
-    "ServiceProtocolError",
-    "ServiceUnavailable",
-    "TRACE_ID_HEADER",
-    "error_envelope",
-    "error_from_exception",
-    "serve",
-    "status_for_kind",
-]
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -32,8 +32,8 @@ cache entry anyway (same canonical query, same structure, same engine).
 
 from __future__ import annotations
 
+import os
 import random
-import uuid
 from typing import Any
 
 from repro.errors import BagCQError
@@ -83,7 +83,7 @@ def mint_id(rng: random.Random | None = None) -> str:
     """A fresh 16-hex-char identifier; seedable for reproducible clients."""
     if rng is not None:
         return f"{rng.getrandbits(64):016x}"
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 def clean_id(value: Any) -> str | None:

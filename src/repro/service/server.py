@@ -2,7 +2,7 @@
 
 Architecture (one process, threads only, standard library only)::
 
-    ThreadingHTTPServer (one thread per connection)
+    wire.HTTPServer (one thread per connection)
         │  parse + validate body          ── cheap, done on the HTTP thread
         │  single-flight lookup           ── identical in-flight work merges
         │  admission control              ── bounded queue; Full → 429 shed
@@ -50,7 +50,6 @@ import threading
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 from repro.errors import BagCQError
 from repro.homomorphism.cache import DEFAULT_CACHE_SIZE, CountCache
@@ -58,7 +57,7 @@ from repro.obs import activate
 from repro.obs.metrics import Registry
 from repro.obs.report import SCHEMA_VERSION, stable_json_dumps
 from repro.obs.trace import FlightRecorder, Span
-from repro.service import protocol
+from repro.service import protocol, wire
 from repro.service.databases import DEFAULT_MAX_DATABASES, DatabaseRegistry
 from repro.service.handlers import ENDPOINTS, ParsedRequest
 
@@ -310,7 +309,7 @@ class EvaluationServer:
         self._started = False
         self._closed = False
         self._workers: list[threading.Thread] = []
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: wire.HTTPServer | None = None
         self._http_thread: threading.Thread | None = None
 
     # -- lifecycle ---------------------------------------------------------
@@ -324,10 +323,9 @@ class EvaluationServer:
         class _Handler(_RequestHandler):
             evaluation_server = server
 
-        self._httpd = ThreadingHTTPServer(
+        self._httpd = wire.HTTPServer(
             (self.config.host, self.config.port), _Handler
         )
-        self._httpd.daemon_threads = True
         for index in range(self.config.workers):
             worker = threading.Thread(
                 target=self._worker_loop,
@@ -768,18 +766,13 @@ class _ServiceFailure(Exception):
         return cls(entry["kind"], entry["message"], entry["retry_after"])
 
 
-class _RequestHandler(BaseHTTPRequestHandler):
+class _RequestHandler(wire.Handler):
     """Routes HTTP onto the :class:`EvaluationServer` it belongs to."""
 
     evaluation_server: EvaluationServer  # set by the start() subclass
-    protocol_version = "HTTP/1.1"
-    #: Sockets that go quiet are dropped, so shutdown cannot wedge on a
-    #: client that connected and never finished its request.
-    timeout = 30
-
     server_version = "bagcq-service/1"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
+    def responded(self) -> None:
         # Access logging is a counter, not a stderr line-per-request.
         self.evaluation_server.registry.counter("service.http_lines").inc()
 
@@ -790,17 +783,13 @@ class _RequestHandler(BaseHTTPRequestHandler):
         retry_after: float | None = None,
         context: RequestContext | None = None,
     ) -> None:
-        body = json.dumps(payload).encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
+        headers = {}
         if retry_after is not None:
-            self.send_header("Retry-After", f"{retry_after:.3f}")
+            headers["Retry-After"] = f"{retry_after:.3f}"
         if context is not None:
-            self.send_header(protocol.TRACE_ID_HEADER, context.trace_id)
-            self.send_header(protocol.REQUEST_ID_HEADER, context.request_id)
-        self.end_headers()
-        self.wfile.write(body)
+            headers[protocol.TRACE_ID_HEADER] = context.trace_id
+            headers[protocol.REQUEST_ID_HEADER] = context.request_id
+        self.send(status, json.dumps(payload).encode("utf-8"), headers)
 
     def _send_failure(
         self,
@@ -825,24 +814,14 @@ class _RequestHandler(BaseHTTPRequestHandler):
         self.evaluation_server.finish_request(context, failure.kind)
         self._send_failure(failure, context)
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def do_GET(self) -> None:  # noqa: N802 — wire.Handler API
         server = self.evaluation_server
         if self.path == "/healthz":
             self._send_json(200, server.health())
         elif self.path == "/metrics":
-            body = server.metrics_json().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.send(200, server.metrics_json().encode("utf-8"))
         elif self.path == "/traces":
-            body = server.traces_json().encode("utf-8")
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
+            self.send(200, server.traces_json().encode("utf-8"))
         elif self.path.lstrip("/") in ENDPOINTS or self.path == "/snapshot":
             self._send_failure(
                 _ServiceFailure(
@@ -857,7 +836,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
                 )
             )
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
+    def do_POST(self) -> None:  # noqa: N802 — wire.Handler API
         server = self.evaluation_server
         endpoint = self.path.lstrip("/")
         context = server.new_context(endpoint, self.headers)
@@ -870,9 +849,7 @@ class _RequestHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-            raw = self.rfile.read(length) if length else b""
-            body = json.loads(raw.decode("utf-8")) if raw else {}
+            body = json.loads(self.body.decode("utf-8")) if self.body else {}
         except (ValueError, UnicodeDecodeError) as error:
             server.registry.counter("service.errors").inc()
             self._fail_request(

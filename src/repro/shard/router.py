@@ -41,7 +41,6 @@ import urllib.error
 import urllib.request
 from bisect import bisect_left
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 from repro.errors import BagCQError
@@ -49,7 +48,7 @@ from repro.io import query_from_dict
 from repro.obs.metrics import Registry, quantile_from_bucket_counts
 from repro.obs.report import SCHEMA_VERSION, stable_json_dumps
 from repro.queries.parser import parse_query
-from repro.service import protocol
+from repro.service import protocol, wire
 from repro.service.handlers import ENDPOINTS
 from repro.shard.worker import WorkerProcess, http_get_json
 
@@ -384,7 +383,7 @@ class ShardRouter:
             self.config.shards, self.config.virtual_nodes
         )
         self.workers: list[WorkerProcess] = []
-        self._httpd: ThreadingHTTPServer | None = None
+        self._httpd: wire.HTTPServer | None = None
         self._http_thread: threading.Thread | None = None
         self._started = False
         self._closed = False
@@ -445,10 +444,9 @@ class ShardRouter:
         class _Handler(_RouterHandler):
             shard_router = router
 
-        self._httpd = ThreadingHTTPServer(
+        self._httpd = wire.HTTPServer(
             (self.config.host, self.config.port), _Handler
         )
-        self._httpd.daemon_threads = True
         self._http_thread = threading.Thread(
             target=self._httpd.serve_forever,
             name="bagcq-router-http",
@@ -697,50 +695,36 @@ class ShardRouter:
         return result
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(wire.Handler):
     """Routes HTTP onto the :class:`ShardRouter` it belongs to."""
 
     shard_router: ShardRouter  # set by the start() subclass
-    protocol_version = "HTTP/1.1"
-    timeout = 30
     server_version = "bagcq-router/1"
 
-    def log_message(self, format: str, *args) -> None:  # noqa: A002
+    def responded(self) -> None:
         self.shard_router.registry.counter("shard.http_lines").inc()
 
-    def _send_body(
-        self, status: int, body: bytes, headers: dict[str, str] | None = None
-    ) -> None:
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(body)))
-        for name, value in (headers or {}).items():
-            if name.lower() != "content-type":
-                self.send_header(name, value)
-        self.end_headers()
-        self.wfile.write(body)
-
     def _send_json(self, status: int, payload: dict) -> None:
-        self._send_body(status, json.dumps(payload).encode("utf-8"))
+        self.send(status, json.dumps(payload).encode("utf-8"))
 
     def _send_failure(self, failure: _RouterFailure) -> None:
         headers = {}
         if failure.retry_after is not None:
             headers["Retry-After"] = f"{failure.retry_after:.3f}"
-        self._send_body(
+        self.send(
             failure.status,
             json.dumps(failure.envelope).encode("utf-8"),
             headers,
         )
 
-    def do_GET(self) -> None:  # noqa: N802 — http.server API
+    def do_GET(self) -> None:  # noqa: N802 — wire.Handler API
         router = self.shard_router
         if self.path == "/healthz":
             self._send_json(200, router.health())
         elif self.path == "/metrics":
-            self._send_body(200, router.metrics_json().encode("utf-8"))
+            self.send(200, router.metrics_json().encode("utf-8"))
         elif self.path == "/traces":
-            self._send_body(200, router.traces_json().encode("utf-8"))
+            self.send(200, router.traces_json().encode("utf-8"))
         elif self.path.lstrip("/") in ENDPOINTS or self.path == "/snapshot":
             self._send_failure(
                 _RouterFailure(
@@ -754,7 +738,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 )
             )
 
-    def do_POST(self) -> None:  # noqa: N802 — http.server API
+    def do_POST(self) -> None:  # noqa: N802 — wire.Handler API
         router = self.shard_router
         endpoint = self.path.lstrip("/")
         if endpoint in ("healthz", "metrics", "traces"):
@@ -775,16 +759,13 @@ class _RouterHandler(BaseHTTPRequestHandler):
             )
             return
         try:
-            length = int(self.headers.get("Content-Length", "0"))
-        except ValueError:
-            length = 0
-        raw = self.rfile.read(length) if length else b""
-        try:
-            status, headers, body = router.forward(endpoint, raw, self.headers)
+            status, headers, body = router.forward(
+                endpoint, self.body, self.headers
+            )
         except _RouterFailure as failure:
             self._send_failure(failure)
             return
-        self._send_body(status, body, headers)
+        self.send(status, body, headers)
 
 
 def serve_sharded(config: RouterConfig | None = None) -> None:

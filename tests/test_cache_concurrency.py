@@ -22,6 +22,7 @@ import threading
 
 import pytest
 
+from repro.containment_set import ContainmentCache
 from repro.homomorphism import count
 from repro.homomorphism.cache import CountCache, component_cache_key
 from repro.planner.analyze import PlanCache, analyze_component
@@ -57,6 +58,48 @@ def _run_threads(target, count_: int = THREADS, args_for=None):
     return threads
 
 
+def _count_lru(capacity):
+    cache = CountCache(max_entries=capacity)
+
+    def touch(key):
+        if cache.lookup(key) is None:
+            cache.store(key, 1)
+
+    return touch, cache.__len__
+
+
+def _containment_lru(capacity):
+    cache = ContainmentCache(max_entries=capacity)
+
+    def touch(key):
+        if cache.lookup(key) is None:
+            cache.store(key, (True, None))
+
+    return touch, cache.__len__
+
+
+def _plan_profile_lru(capacity):
+    cache = PlanCache(max_entries=capacity)
+    return (lambda key: cache.store_profile(key, None)), cache.__len__
+
+
+def _plan_artifact_lru(capacity):
+    cache = PlanCache(compiled_entries=capacity)
+    return (
+        lambda key: cache.store_compiled(key, None),
+        lambda: cache.compiled_stats()["entries"],
+    )
+
+
+#: ``(touch(key), size())`` of every LRU the server's threads share.
+LRUS = {
+    "count": _count_lru,
+    "containment": _containment_lru,
+    "plan-profiles": _plan_profile_lru,
+    "plan-artifacts": _plan_artifact_lru,
+}
+
+
 class TestCountCacheConcurrency:
     def test_no_lost_updates(self):
         """With capacity >= total keys, every stored value survives."""
@@ -72,16 +115,20 @@ class TestCountCacheConcurrency:
             for i in range(200):
                 assert cache.lookup(("k", index, i)) == index * 1000 + i
 
-    def test_no_over_eviction(self):
-        """Under churn the cache never exceeds capacity and stays warm."""
+    @pytest.mark.parametrize("lru", list(LRUS))
+    def test_no_over_eviction(self, lru):
+        """Under churn the LRU never exceeds capacity and stays warm."""
         capacity = 64
-        cache = CountCache(max_entries=capacity)
+        touch, size = LRUS[lru](capacity)
         stop = threading.Event()
-        sizes: list[int] = []
+        # Peak and sample count only: a list of every sample grows by
+        # millions of entries in a second.
+        observed = {"peak": 0, "samples": 0}
 
         def sampler():
             while not stop.is_set():
-                sizes.append(len(cache))
+                observed["peak"] = max(observed["peak"], size())
+                observed["samples"] += 1
 
         watcher = threading.Thread(target=sampler)
         watcher.start()
@@ -90,20 +137,17 @@ class TestCountCacheConcurrency:
             def churner(index):
                 rng = random.Random(index)
                 for _ in range(2000):
-                    key = ("churn", rng.randrange(capacity * 4))
-                    if cache.lookup(key) is None:
-                        cache.store(key, 1)
+                    touch(("churn", rng.randrange(capacity * 4)))
 
             _run_threads(churner)
         finally:
             stop.set()
             watcher.join(timeout=30)
-        assert sizes, "the sampler must have observed the cache"
-        assert max(sizes) <= capacity
-        assert len(cache) <= capacity
+        assert observed["samples"], "the sampler must have observed the cache"
+        assert observed["peak"] <= capacity
         # After thousands of stores against 4x capacity of keys, the
         # cache should be full, not over-evicted down to a sliver.
-        assert len(cache) == capacity
+        assert size() == capacity
 
     def test_accounting_closes_under_contention(self):
         cache = CountCache(max_entries=1024)

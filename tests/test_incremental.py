@@ -152,6 +152,30 @@ class TestApplyDelta:
 
 
 class TestFingerprints:
+    def test_fingerprints_are_pinned(self):
+        """Durable snapshot names and router keys are built on these
+        digests, so they may never change across releases."""
+        import _blake2
+        import hashlib
+
+        assert _blake2.blake2b is hashlib.blake2b
+        structure = Structure(
+            Schema.from_arities({"E": 2, "U": 1}),
+            {"E": [(0, 1), (1, 2), (2, 0)], "U": [("a",)]},
+            constants={"c": 0},
+            domain=[7],
+        )
+        assert structure.relation_fingerprint("E") == (
+            0x2A733696EBD356A1C73D14BFA0C7A053
+        )
+        assert structure.relation_fingerprint("U") == (
+            0xF493B644D617A81C2C9EAA850B269D53
+        )
+        assert structure.context_fingerprint() == (
+            0xB85B5C69BB9BD35F49430D019FA90845
+        )
+        assert structure.fingerprint() == "c6e1d4fd90a06a7f"
+
     def test_relation_fingerprint_is_order_independent(self):
         a = _graph({(0, 1), (1, 2), (2, 0)})
         b = _graph({(2, 0), (0, 1), (1, 2)})

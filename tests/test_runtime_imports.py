@@ -6,6 +6,11 @@ extras.  A fresh interpreter importing everything ``bagcq serve`` and
 every server and worker process its import time and resident memory.
 The same holds for the package's own reductions, polynomials and
 decision procedures, which the package root re-exports lazily.
+
+A single server (``bagcq serve`` without ``--shards``, and so every
+shard worker) also loads none of the stdlib it never uses: no OpenSSL
+(``ssl``, ``_hashlib``), no ``http.client``/``email`` header parsing,
+no ``urllib`` client, no process pool and no ``uuid``.
 """
 
 import os
@@ -20,9 +25,24 @@ OPTIONAL = ("networkx", "numpy", "scipy")
 #: Subpackages no server request path needs at start-up.
 UNSERVED = ("repro.core", "repro.polynomials", "repro.decision")
 
+#: Stdlib modules a single server never uses.
+UNUSED_BY_ONE_SERVER = (
+    "ssl",
+    "_hashlib",
+    "http.client",
+    "email",
+    "urllib.request",
+    "multiprocessing",
+    "concurrent.futures.process",
+    "uuid",
+)
 
-def _loaded_after_server_imports(names: tuple[str, ...]) -> str:
-    """Which of ``names`` a fresh interpreter holds after the server imports."""
+
+def _loaded_after_server_imports(
+    names: tuple[str, ...],
+    imports: str = "repro.cli, repro.service, repro.shard",
+) -> str:
+    """Which of ``names`` a fresh interpreter holds after ``imports``."""
     environment = dict(os.environ)
     package_root = str(Path(repro.__file__).resolve().parent.parent)
     environment["PYTHONPATH"] = os.pathsep.join(
@@ -30,7 +50,7 @@ def _loaded_after_server_imports(names: tuple[str, ...]) -> str:
     )
     probe = (
         "import sys\n"
-        "import repro.cli, repro.service, repro.shard\n"
+        f"import {imports}\n"
         f"print(sorted(name for name in {names!r} if name in sys.modules))\n"
     )
     result = subprocess.run(
@@ -50,6 +70,14 @@ def test_server_imports_load_no_optional_packages():
 
 def test_server_imports_load_no_unserved_subpackages():
     assert _loaded_after_server_imports(UNSERVED) == "[]"
+
+
+def test_one_server_loads_no_unused_stdlib():
+    # Exactly what `python -m repro.cli serve` imports, without the router.
+    loaded = _loaded_after_server_imports(
+        UNUSED_BY_ONE_SERVER, imports="repro.cli, repro.service.server"
+    )
+    assert loaded == "[]"
 
 
 def test_package_root_resolves_every_export():

@@ -361,8 +361,12 @@ class TestAdmissionControl:
             assert metrics["service.shed"]["value"] == len(shed)
 
     def test_retrying_client_eventually_succeeds_after_shed(self):
+        # The retry budget (8 retries at the Retry-After hint) must outlast
+        # the drain: six SLOW_QUERY evaluations back to back on one worker,
+        # ~160 ms on a 2-vCPU VM.  At a 10 ms hint the budget was ~100 ms,
+        # so whether the last client got in depended on round-trip time.
         config = ServerConfig(
-            workers=1, queue_depth=1, coalesce=False, retry_after_s=0.01
+            workers=1, queue_depth=1, coalesce=False, retry_after_s=0.05
         )
         with EvaluationServer(config) as server:
             barrier = threading.Barrier(6)
