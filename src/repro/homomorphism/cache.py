@@ -62,6 +62,21 @@ _FP_TAG = "§fp"
 _MISSING = ("§missing",)
 
 
+#: The canonical variables ``_c0, _c1, …`` by number, shared by every
+#: canonical form.  Filled with ``dict.setdefault``, which is atomic, so
+#: concurrent canonicalizations agree on one object per number.
+_CANONICAL_VARIABLES: dict[int, Variable] = {}
+
+
+def _canonical_variable(number: int) -> Variable:
+    variable = _CANONICAL_VARIABLES.get(number)
+    if variable is None:
+        variable = _CANONICAL_VARIABLES.setdefault(
+            number, Variable(f"_c{number}")
+        )
+    return variable
+
+
 def _term_code(term: Term, colors: Mapping[Variable, Hashable]):
     """A rename-invariant rendering of one term under the current colors."""
     if isinstance(term, Variable):
@@ -161,11 +176,11 @@ def _canonicalize(query: ConjunctiveQuery) -> ConjunctiveQuery:
     for atom in sorted_atoms:
         for term in atom.terms:
             if isinstance(term, Variable) and term not in mapping:
-                mapping[term] = Variable(f"_c{len(mapping)}")
+                mapping[term] = _canonical_variable(len(mapping))
     for inequality in sorted_inequalities:
         for term in (inequality.left, inequality.right):
             if isinstance(term, Variable) and term not in mapping:
-                mapping[term] = Variable(f"_c{len(mapping)}")
+                mapping[term] = _canonical_variable(len(mapping))
     return query.rename(mapping)
 
 

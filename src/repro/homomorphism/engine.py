@@ -195,6 +195,13 @@ def _dispatch(component, structure, counter, engine: str, registry, cache=None) 
         key = component_cache_key(component, structure, engine)
         hit = cache.lookup(key)
         if hit is not None:
+            if engine == "compiled":
+                # A count hit is a reuse of the component's artifact,
+                # keyed ``(canonical, fingerprint)``: admit it from
+                # probation, so the next delta still finds it to refresh.
+                from repro.planner.plan import default_plan_cache
+
+                default_plan_cache().promote_compiled(key[:2])
             return hit
     try:
         if registry is None:

@@ -40,6 +40,11 @@ DEFAULT_PLAN_CACHE_SIZE = 2048
 #: profile bound, since each artifact holds per-relation fact indexes.
 DEFAULT_COMPILED_CACHE_SIZE = 256
 
+#: Length of the probation FIFO a freshly built artifact waits in until
+#: it is reused (see :meth:`PlanCache.compiled_artifact`).  16 holds the
+#: artifacts of a 12-factor read of a resident database.
+COMPILED_PROBATION = 16
+
 
 @dataclass(frozen=True)
 class ComponentProfile:
@@ -126,6 +131,17 @@ class PlanCache:
     evaluation relation-scoped eviction and migration.  Artifacts have
     their own, smaller LRU bound and mirror their traffic as
     ``plan.compile.cache_hits`` / ``plan.compile.cache_misses``.
+
+    Artifact admission is a segmented LRU in the style of 2Q.  An
+    artifact built on a miss waits in a :data:`COMPILED_PROBATION`-entry
+    FIFO and enters the main LRU only once it is reused: an artifact hit
+    (:meth:`compiled_artifact`), a delta refresh (:meth:`store_compiled`)
+    or a count-cache hit on its component (:meth:`promote_compiled`).
+    A counterexample search or cold traffic builds one artifact per
+    (component, database) pair and never looks it up again; those leave
+    in FIFO order instead of flushing the artifacts a resident database
+    reuses.  Promotions by a hit are counted as
+    ``plan.compile.promotions``; a refresh is not.
     """
 
     def __init__(
@@ -146,6 +162,7 @@ class PlanCache:
         self._misses = 0
         self._compiled_max = compiled_entries
         self._compiled: OrderedDict = OrderedDict()
+        self._probation: OrderedDict = OrderedDict()
         self._compiled_hits = 0
         self._compiled_misses = 0
         self._durable = None
@@ -226,33 +243,69 @@ class PlanCache:
             cached = self._compiled.get(key)
             if cached is not None:
                 self._compiled.move_to_end(key)
+            else:
+                cached = self._probation.pop(key, None)
+                if cached is not None:
+                    self._admit(key, cached)
+            if cached is not None:
                 self._compiled_hits += 1
                 obs_metrics.add("plan.compile.cache_hits")
                 return cached, True
             self._compiled_misses += 1
         obs_metrics.add("plan.compile.cache_misses")
         artifact = build(key[0], structure)
-        self.store_compiled(key, artifact)
+        with self._lock:
+            # Another thread may have built and stored the key meanwhile.
+            if key not in self._compiled and key not in self._probation:
+                # Evict before inserting (see CountCache.store).
+                while len(self._probation) >= COMPILED_PROBATION:
+                    self._probation.popitem(last=False)
+                self._probation[key] = artifact
         return artifact, False
 
-    def compiled_items(self) -> list[tuple]:
-        """Snapshot of the artifact store (for delta migration)."""
+    def promote_compiled(self, key) -> bool:
+        """Admit a probation artifact to the main LRU; True when it moved.
+
+        The count cache answers every repeat read of a component, so its
+        artifact is never looked up again; :func:`repro.homomorphism.
+        engine.count` calls this on a compiled-engine count hit, which
+        keeps the artifact until the next delta refreshes it.
+        """
         with self._lock:
-            return list(self._compiled.items())
+            artifact = self._probation.pop(key, None)
+            if artifact is None:
+                return False
+            self._admit(key, artifact)
+            return True
+
+    def _admit(self, key, artifact) -> None:
+        """Move a probation entry into the main LRU (lock held)."""
+        while len(self._compiled) >= self._compiled_max:
+            self._compiled.popitem(last=False)
+        self._compiled[key] = artifact
+        obs_metrics.add("plan.compile.promotions")
+
+    def compiled_items(self) -> list[tuple]:
+        """Snapshot of both artifact segments (for delta migration)."""
+        with self._lock:
+            return [*self._compiled.items(), *self._probation.items()]
 
     def compiled_discard(self, key) -> bool:
         """Drop one artifact entry; True when it was present."""
         with self._lock:
-            return self._compiled.pop(key, None) is not None
+            dropped = self._compiled.pop(key, None) is not None
+            return self._probation.pop(key, None) is not None or dropped
 
     def store_compiled(self, key, artifact) -> None:
-        """Insert an artifact under an externally-computed key.
+        """Insert an artifact into the main LRU under an external key.
 
         Delta evaluation uses this to re-home a refreshed artifact under
         the mutated database's fingerprint without paying a rebuild, then
-        drops the superseded entry with :meth:`compiled_discard`.
+        drops the superseded entry with :meth:`compiled_discard`.  A
+        refresh is reuse, so the artifact skips probation.
         """
         with self._lock:
+            self._probation.pop(key, None)
             if key in self._compiled:
                 self._compiled.move_to_end(key)
             else:
@@ -271,37 +324,47 @@ class PlanCache:
         touched = frozenset(relations)
         dropped = 0
         with self._lock:
-            for key in list(self._compiled):
-                fingerprint = key[1] if isinstance(key, tuple) and len(key) == 2 else None
-                if (
-                    isinstance(fingerprint, tuple)
-                    and len(fingerprint) == 4
-                    and fingerprint[0] == "§fp"
-                ):
-                    depends = frozenset(name for name, _ in fingerprint[1])
-                    affected = bool(depends & touched) or (
-                        domain_changed and fingerprint[3] is not None
+            for segment in (self._compiled, self._probation):
+                for key in list(segment):
+                    fingerprint = (
+                        key[1] if isinstance(key, tuple) and len(key) == 2 else None
                     )
-                else:
-                    affected = True
-                if affected:
-                    del self._compiled[key]
-                    dropped += 1
+                    if (
+                        isinstance(fingerprint, tuple)
+                        and len(fingerprint) == 4
+                        and fingerprint[0] == "§fp"
+                    ):
+                        depends = frozenset(name for name, _ in fingerprint[1])
+                        affected = bool(depends & touched) or (
+                            domain_changed and fingerprint[3] is not None
+                        )
+                    else:
+                        affected = True
+                    if affected:
+                        del segment[key]
+                        dropped += 1
         return dropped
 
     def compiled_stats(self) -> dict:
-        """A plain-data snapshot of the artifact store (reports, tests)."""
-        return {
-            "entries": len(self._compiled),
-            "max_entries": self._compiled_max,
-            "hits": self._compiled_hits,
-            "misses": self._compiled_misses,
-        }
+        """A plain-data snapshot of the artifact store (reports, tests).
+
+        ``entries`` counts both segments; ``probation`` the artifacts
+        still waiting for their first reuse.
+        """
+        with self._lock:
+            return {
+                "entries": len(self._compiled) + len(self._probation),
+                "probation": len(self._probation),
+                "max_entries": self._compiled_max,
+                "hits": self._compiled_hits,
+                "misses": self._compiled_misses,
+            }
 
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
             self._compiled.clear()
+            self._probation.clear()
 
     def __len__(self) -> int:
         with self._lock:

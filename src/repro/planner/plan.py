@@ -19,7 +19,9 @@ counter family at zero (the convention ``repro.qa`` established for
   ``.compiled`` — which engine won;
 * ``plan.compile.builds`` / ``plan.compile.cache_hits`` /
   ``plan.compile.cache_misses`` — compiled-artifact traffic in the
-  :class:`PlanCache` (see :mod:`repro.homomorphism.compiled`).
+  :class:`PlanCache` (see :mod:`repro.homomorphism.compiled`);
+* ``plan.compile.promotions`` — artifacts moved from the probation FIFO
+  into the main LRU on reuse.
 
 :func:`plan` additionally opens ``plan.analyze`` / ``plan.select`` spans
 (attributed with component counts and the winning engines) — coarse,
@@ -64,6 +66,7 @@ _PLAN_COUNTERS = (
     "plan.compile.builds",
     "plan.compile.cache_hits",
     "plan.compile.cache_misses",
+    "plan.compile.promotions",
 )
 
 #: Process-wide profile cache: planning is pure query analysis, so sharing

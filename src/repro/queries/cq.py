@@ -30,6 +30,8 @@ from repro.relational.structure import Structure
 
 __all__ = ["ConjunctiveQuery", "TRUE"]
 
+_NO_CONSTANTS: frozenset[Constant] = frozenset()
+
 
 class ConjunctiveQuery:
     """An immutable boolean conjunctive query, possibly with inequalities.
@@ -96,7 +98,8 @@ class ConjunctiveQuery:
             variables.update(ineq.variables())
             constants.update(ineq.constants())
         self._variables = frozenset(variables)
-        self._constants = frozenset(constants)
+        # Most queries mention no constant: share one empty set.
+        self._constants = frozenset(constants) if constants else _NO_CONSTANTS
         # Per-object memos: the canonical form is filled in by
         # :func:`repro.homomorphism.cache.canonical_component`, the
         # component split by :meth:`connected_components`.

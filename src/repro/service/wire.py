@@ -9,8 +9,9 @@ HTTP/1.1 those clients use:
 * one request line and at most :data:`MAX_HEADERS` header lines, each
   at most :data:`MAX_LINE` bytes; header names are case-insensitive
   through ``headers.get``;
-* a body of exactly ``Content-Length`` bytes; a ``Transfer-Encoding``
-  (chunked) body is refused;
+* a body of exactly ``Content-Length`` bytes, at most :data:`MAX_BODY`;
+  a larger length is refused before any body byte is read, and a
+  ``Transfer-Encoding`` (chunked) body is refused;
 * ``Expect: 100-continue`` is answered before the body is read;
 * an HTTP/1.1 connection stays open unless the request says
   ``Connection: close``; HTTP/1.0 closes after one response; a
@@ -29,12 +30,25 @@ from http import HTTPStatus
 
 from repro.service import protocol
 
-__all__ = ["MAX_HEADERS", "MAX_LINE", "Handler", "Headers", "HTTPServer"]
+__all__ = [
+    "MAX_BODY",
+    "MAX_HEADERS",
+    "MAX_LINE",
+    "Handler",
+    "Headers",
+    "HTTPServer",
+]
 
 #: ``http.server``'s limits (it also counted the blank line ending the
 #: headers as one of its 100).
 MAX_LINE = 65536
 MAX_HEADERS = 100
+
+#: The largest request body the front reads, in bytes.  Reading is
+#: sized by ``Content-Length``, so without a cap one header line could
+#: make the server allocate gigabytes (or raise ``MemoryError``).  The
+#: largest body the bundled clients send, a ``/db`` load, is ~19 KB.
+MAX_BODY = 16 * 1024 * 1024
 
 _DAYS = ("Mon", "Tue", "Wed", "Thu", "Fri", "Sat", "Sun")
 _MONTHS = (
@@ -176,13 +190,21 @@ class Handler(socketserver.StreamRequestHandler):
                 "Content-Length must be a non-negative decimal integer, "
                 f"got {length[:32]!r}"
             )
+        # Count digits first: ``int`` refuses strings over 4300 digits.
+        digits = length.lstrip("0") or "0"
+        if len(digits) > len(str(MAX_BODY)) or int(digits) > MAX_BODY:
+            raise protocol.BadRequestError(
+                f"Content-Length {digits[:32]} exceeds the {MAX_BODY}-byte "
+                "body limit"
+            )
+        size = int(digits)
         if (
             version == "HTTP/1.1"
             and headers.get("expect", "").lower() == "100-continue"
         ):
             self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
-        self.body = self.rfile.read(int(length))
-        return len(self.body) == int(length)
+        self.body = self.rfile.read(size)
+        return len(self.body) == size
 
     def send(
         self, status: int, body: bytes, headers: dict[str, str] | None = None

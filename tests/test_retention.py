@@ -20,6 +20,7 @@ import gc
 import inspect
 import pickle
 import random
+import threading
 import weakref
 
 import pytest
@@ -172,6 +173,79 @@ class TestCanonicalizeOnce:
         for seed in range(4):
             count(query, _random_graph(seed), engine="auto", cache=cache)
         assert len(runs) == 5  # once per component object, not per count
+
+
+#: ``str(canonical_component(q))`` as computed before the canonical
+#: variables were shared.  Durable file names and router ring keys derive
+#: from this text, so it must never change.
+CANONICAL_TEXTS = {
+    "E(x, y) & E(y, z) & E(z, x) & x != y": (
+        "E(_c1, _c2) & E(_c2, _c0) & E(_c0, _c1) & _c1 != _c2"
+    ),
+    "R(u, #a, v) & S(v, w) & S(w, u) & T(w)": (
+        "R(_c0, #a, _c1) & S(_c1, _c2) & S(_c2, _c0) & T(_c2)"
+    ),
+    "E(p, q) & E(q, r) & E(r, s) & E(s, p) & E(p, r) & F(q, #k)": (
+        "E(_c0, _c2) & E(_c2, _c1) & E(_c1, _c3) & E(_c3, _c0) & "
+        "E(_c0, _c1) & F(_c2, #k)"
+    ),
+}
+
+
+class TestSharedCanonicalParts:
+    @pytest.mark.parametrize("text", list(CANONICAL_TEXTS))
+    def test_canonical_text_is_pinned(self, text):
+        assert str(canonical_component(parse_query(text))) == CANONICAL_TEXTS[text]
+
+    def test_canonical_forms_share_their_variables(self):
+        first = canonical_component(parse_query("E(x, y) & E(y, z)"))
+        second = canonical_component(parse_query("F(u, v, w) & G(w)"))
+        c0 = [v for v in first.variables if v.name == "_c0"]
+        d0 = [v for v in second.variables if v.name == "_c0"]
+        assert len(c0) == len(d0) == 1
+        assert c0[0] is d0[0]
+
+    def test_concurrent_canonicalization_numbers_every_variable(
+        self, monkeypatch
+    ):
+        # A fresh table, so eight threads race to create the same numbers.
+        table: dict = {}
+        monkeypatch.setattr(cache_module, "_CANONICAL_VARIABLES", table)
+        threads = 8
+        barrier = threading.Barrier(threads)
+        seen: list = []
+        errors: list = []
+
+        def canonicalize(index):
+            try:
+                barrier.wait()
+                for length in range(2, 40):
+                    path = " & ".join(
+                        f"P{index}(v{i}, v{i + 1})" for i in range(length)
+                    )
+                    seen.extend(canonical_component(parse_query(path)).variables)
+            except BaseException as error:  # noqa: BLE001 — re-raised below
+                errors.append(error)
+
+        workers = [
+            threading.Thread(target=canonicalize, args=(index,))
+            for index in range(threads)
+        ]
+        for worker in workers:
+            worker.start()
+        for worker in workers:
+            worker.join(timeout=60)
+        assert not errors
+        assert len(table) == 40
+        assert all(variable.name == f"_c{n}" for n, variable in table.items())
+        assert all(table[int(v.name[2:])] is v for v in seen)
+
+    def test_constant_free_queries_share_one_empty_set(self):
+        first = parse_query("E(x, y)")
+        second = parse_query("F(u) & F(v)")
+        assert first.constants == frozenset()
+        assert first.constants is second.constants
+        assert parse_query("E(x, #a)").constants != frozenset()
 
 
 class TestPlanCachePinsNothing:

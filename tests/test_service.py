@@ -460,7 +460,12 @@ class TestGracefulShutdown:
 
         thread = threading.Thread(target=fire)
         thread.start()
-        time.sleep(0.005)  # let the request reach the queue
+        # Close only once the request is admitted: closing earlier
+        # answers it 503, and the client's retry is refused.
+        admitted = server.registry.counter("service.admitted")
+        deadline = time.monotonic() + 30
+        while admitted.value < 1 and time.monotonic() < deadline:
+            time.sleep(0.001)
         server.close()  # drains: the in-flight evaluation must finish
         thread.join(timeout=60)
         assert result == [count(SLOW_QUERY, GRAPH)]

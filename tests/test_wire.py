@@ -1,11 +1,11 @@
 """The HTTP/1.1 front shared by the evaluation server and the shard router.
 
 Raw sockets drive what ``urllib`` cannot send: malformed request lines,
-unsupported methods, over-long lines, too many headers and bodies the
-front cannot size.  Each gets a versioned JSON error envelope and a
-closed connection.  ``http.client`` and raw sockets also pin the
-connection rules: HTTP/1.1 keep-alive, HTTP/1.0 close, ``Expect:
-100-continue`` and the idle timeout.
+unsupported methods, over-long lines, too many headers, and bodies the
+front cannot size or will not read (over ``MAX_BODY``).  Each gets a
+versioned JSON error envelope and a closed connection.  ``http.client``
+and raw sockets also pin the connection rules: HTTP/1.1 keep-alive,
+HTTP/1.0 close, ``Expect: 100-continue`` and the idle timeout.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import pytest
 
 from repro.service import EvaluationServer, ServerConfig, protocol
 from repro.service import server as server_module
-from repro.service.wire import MAX_HEADERS, MAX_LINE
+from repro.service.wire import MAX_BODY, MAX_HEADERS, MAX_LINE
 from repro.shard.router import RouterConfig, ShardRouter
 
 BODY = json.dumps({"query_text": "E(x, y)", "facts": "E(a,b) E(b,c)"}).encode()
@@ -132,7 +132,21 @@ def front(request, server):
         yield router
 
 
-@pytest.mark.parametrize("length", [b"-1", b"abc", b"1.5", b"+2", b"", b"\xb2"])
+@pytest.mark.parametrize(
+    "length",
+    [
+        b"-1",
+        b"abc",
+        b"1.5",
+        b"+2",
+        b"",
+        b"\xb2",
+        # Over the body cap: refused before a byte is read or allocated.
+        str(10**12).encode(),
+        str(MAX_BODY + 1).encode(),
+        b"9" * 5000,  # more digits than ``int`` converts
+    ],
+)
 def test_unsizable_body_is_a_400_envelope_not_a_held_thread(front, length):
     started = time.monotonic()
     reply = _exchange(
@@ -141,6 +155,28 @@ def test_unsizable_body_is_a_400_envelope_not_a_held_thread(front, length):
     )
     _assert_envelope(reply, 400, "bad_request")
     assert time.monotonic() - started < 5
+
+
+def test_over_cap_body_gets_no_100_continue(front):
+    reply = _exchange(
+        front.address,
+        b"POST /evaluate HTTP/1.1\r\nExpect: 100-continue\r\n"
+        b"Content-Length: %d\r\n\r\n" % (MAX_BODY + 1),
+    )
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    _assert_envelope(reply, 400, "bad_request")
+
+
+def test_leading_zeros_do_not_count_against_the_cap(server):
+    padded = b"0" * 5000 + str(len(BODY)).encode()
+    reply = _exchange(
+        server.address,
+        b"POST /evaluate HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: " + padded + b"\r\n\r\n" + BODY,
+    )
+    status, _, payload = _parse(reply)
+    assert status == 200
+    assert payload["count"] == 2
 
 
 def test_http11_connection_serves_several_requests(server):
