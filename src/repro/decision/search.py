@@ -15,7 +15,8 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
-from repro.errors import BagCQError, SearchBudgetExceeded
+from repro.deadline import check
+from repro.errors import BagCQError, DeadlineExpired, SearchBudgetExceeded
 from repro.homomorphism.batch import count_many
 from repro.homomorphism.cache import CountCache
 from repro.homomorphism.engine import count
@@ -187,6 +188,8 @@ def _set_semantics_prescreen(
             cache=default_containment_cache(),
             want_witness=False,
         )
+    except DeadlineExpired:
+        raise
     except BagCQError:
         # Whatever the library objects to (an unknown engine name, say),
         # the stream search will object to identically — or not at all,
@@ -307,6 +310,7 @@ def find_counterexample(
                     counters,
                 )
             for structure in candidates:
+                check()
                 counters["enumerated"] += 1
                 checked = counters["checked"]
                 if max_candidates is not None and checked >= max_candidates:
@@ -390,6 +394,7 @@ def _find_counterexample_batched(
         return None
 
     for structure in candidates:
+        check()
         counters["enumerated"] += 1
         if (
             max_candidates is not None

@@ -53,3 +53,7 @@ class MaterializationError(BagCQError):
 
 class SearchBudgetExceeded(BagCQError):
     """A semi-decision search procedure ran out of its configured budget."""
+
+
+class DeadlineExpired(BagCQError):
+    """An evaluation was stopped at its deadline (see :mod:`repro.deadline`)."""

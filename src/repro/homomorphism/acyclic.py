@@ -25,6 +25,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Hashable
 
+from repro.deadline import check
 from repro.errors import EvaluationError
 from repro.obs import metrics as obs_metrics
 from repro.queries.atoms import Atom
@@ -179,6 +180,7 @@ def count_homomorphisms_acyclic(
 
     total = None
     for index, parent in tree:
+        check()
         rows = tables[index]
         if parent is None:
             # Root: aggregate everything.

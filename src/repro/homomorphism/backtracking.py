@@ -21,7 +21,9 @@ The bag-semantics value of a boolean CQ is ``φ(D) = |Hom(φ, D)|``
 * variables constrained only by inequalities are counted at the end by
   direct enumeration over the active domain.
 
-Counts are exact Python integers.
+Counts are exact Python integers.  The search checks the installed
+deadline (:mod:`repro.deadline`) every ``CHECK_EVERY`` units of work:
+nodes, scanned facts and enumerated domain values.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ from __future__ import annotations
 import sys
 from typing import Hashable, Iterator, Mapping
 
+from repro.deadline import CHECK_EVERY, check
 from repro.errors import ConstantError, EvaluationError
 from repro.obs import metrics as obs_metrics
 from repro.queries.atoms import Atom, Inequality
@@ -114,6 +117,8 @@ class _Problem:
         # Populated by count_homomorphisms when an obs registry is active;
         # None keeps the disabled fast path to one attribute load + test.
         self.obs: _ObsStats | None = None
+        #: Work left before the next deadline check (see repro.deadline).
+        self.countdown = CHECK_EVERY
         for constant in query.constants:
             if not structure.interprets(constant.name):
                 raise ConstantError(
@@ -226,8 +231,11 @@ class _Problem:
         cached = self._match_cache.get(cache_key)
         if cached is not None:
             return cached
+        facts = self.fact_lists[atom.relation]
+        # A scan is work between deadline checks, like a node.
+        self.countdown -= len(facts)
         if self.obs is not None:
-            self.obs.facts_scanned += len(self.fact_lists[atom.relation])
+            self.obs.facts_scanned += len(facts)
         first_position: dict[Variable, int] = {}
         duplicate_checks: list[tuple[int, int]] = []
         for position, variable in self.var_positions[atom_id]:
@@ -242,7 +250,7 @@ class _Problem:
             if expected is not _UNBOUND
         ]
         matches = []
-        for fact in self.fact_lists[atom.relation]:
+        for fact in facts:
             if any(fact[index] != expected for index, expected in constrained):
                 continue
             if any(fact[i] != fact[j] for i, j in duplicate_checks):
@@ -407,6 +415,10 @@ def _free_variable_count(
     """
     if not variables:
         return 1
+    problem.countdown -= len(problem.domain)
+    if problem.countdown <= 0:
+        problem.countdown = CHECK_EVERY
+        check()
     total = 0
     variable, rest = variables[0], variables[1:]
     for value in problem.domain:
@@ -503,6 +515,10 @@ def _open_components(
 def _count_uncached(
     problem: _Problem, assignment: Assignment, atoms: list[Atom]
 ) -> int:
+    problem.countdown -= 1
+    if problem.countdown <= 0:
+        problem.countdown = CHECK_EVERY
+        check()
     obs = problem.obs
     if obs is None:
         return _count_node(problem, assignment, atoms)

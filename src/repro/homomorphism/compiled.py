@@ -25,6 +25,9 @@ structure once and reuses the artifact:
   transparently re-run on plain Python ``int`` columns
   (``compiled.overflow_fallbacks``), so results stay exact.
 
+Both check the installed deadline (:mod:`repro.deadline`): a chain
+every ``CHECK_EVERY`` candidate bindings, Yannakakis once per pass.
+
 Artifacts are cached in the planner's :class:`~repro.planner.analyze.
 PlanCache` keyed by ``(canonical component, fingerprint)`` — α-equivalent
 components on the same database share one compilation, exactly as their
@@ -47,7 +50,8 @@ from __future__ import annotations
 from array import array
 from typing import Callable, Hashable
 
-from repro.errors import BagCQError
+from repro.deadline import CHECK_EVERY, check
+from repro.errors import BagCQError, DeadlineExpired
 from repro.homomorphism.acyclic import join_tree, matching_facts
 from repro.homomorphism.backtracking import count_homomorphisms, ensure_stack_for
 from repro.obs import metrics as obs_metrics
@@ -287,6 +291,7 @@ def _compile_acyclic(
     def execute(make_column) -> int:
         weights = [make_column(count, 1) for count in row_counts]
         for child, parent, child_groups, parent_groups, group_count in passes:
+            check()
             acc = make_column(group_count, 0)
             for group, weight in zip(child_groups, weights[child]):
                 acc[group] += weight
@@ -484,12 +489,19 @@ def _patched_index(spec: _ChainSpec, adds, removes) -> tuple[dict, int]:
     return new_index, net
 
 
+def _refill() -> int:
+    """Check the deadline, then grant a chain its next work budget."""
+    check()
+    return CHECK_EVERY
+
+
 def _make_step(
     key_slots: tuple[int, ...],
     new_slots: tuple[int, ...],
     index: dict,
     private: bool,
     after: Callable,
+    budget: int,
 ) -> Callable:
     """One specialized closure of the chain, hard-wired to its slots.
 
@@ -499,6 +511,12 @@ def _make_step(
     occur in no later atom — contribute the *size* of their candidate
     bucket instead of being enumerated, mirroring the interpreter's
     private-variable counting.
+
+    An enumerating step charges its bucket's size to the run's work
+    budget in ``env[budget]`` and checks the deadline when the budget
+    runs out, so every :data:`~repro.deadline.CHECK_EVERY` candidate
+    bindings at any depth cost one check.  The other steps do O(1) work
+    per binding an enumerating step (or the chain's start) made.
     """
     if not new_slots:
         # Membership check: every position bound (or constant); the
@@ -546,7 +564,16 @@ def _make_step(
         if not key_slots:
             bucket = index.get((), ())
 
-            def step(env, _bucket=bucket, _after=after, _write=write):
+            def step(
+                env,
+                _bucket=bucket,
+                _after=after,
+                _write=write,
+                _budget=budget,
+                _size=len(bucket),
+            ):
+                left = env[_budget] - _size
+                env[_budget] = left if left > 0 else _refill()
                 total = 0
                 for value in _bucket:
                     env[_write] = value
@@ -556,10 +583,19 @@ def _make_step(
         elif len(key_slots) == 1:
             slot = key_slots[0]
 
-            def step(env, _index=index, _after=after, _slot=slot, _write=write):
+            def step(
+                env,
+                _index=index,
+                _after=after,
+                _slot=slot,
+                _write=write,
+                _budget=budget,
+            ):
                 bucket = _index.get((env[_slot],))
                 if bucket is None:
                     return 0
+                left = env[_budget] - len(bucket)
+                env[_budget] = left if left > 0 else _refill()
                 total = 0
                 for value in bucket:
                     env[_write] = value
@@ -569,11 +605,18 @@ def _make_step(
         else:
 
             def step(
-                env, _index=index, _after=after, _slots=key_slots, _write=write
+                env,
+                _index=index,
+                _after=after,
+                _slots=key_slots,
+                _write=write,
+                _budget=budget,
             ):
                 bucket = _index.get(tuple(env[slot] for slot in _slots))
                 if bucket is None:
                     return 0
+                left = env[_budget] - len(bucket)
+                env[_budget] = left if left > 0 else _refill()
                 total = 0
                 for value in bucket:
                     env[_write] = value
@@ -583,11 +626,18 @@ def _make_step(
         return step
 
     def step(
-        env, _index=index, _after=after, _slots=key_slots, _writes=new_slots
+        env,
+        _index=index,
+        _after=after,
+        _slots=key_slots,
+        _writes=new_slots,
+        _budget=budget,
     ):
         bucket = _index.get(tuple(env[slot] for slot in _slots))
         if bucket is None:
             return 0
+        left = env[_budget] - len(bucket)
+        env[_budget] = left if left > 0 else _refill()
         total = 0
         for values in bucket:
             for write, value in zip(_writes, values):
@@ -684,13 +734,18 @@ def _assemble_chain(
             specs[position][5],
             specs[position][6],
         )
-        chain = _make_step(key_slots, new_slots, index, privacy[position], chain)
+        chain = _make_step(
+            key_slots, new_slots, index, privacy[position], chain, slots
+        )
 
     free = len(query.variables) - slots
     first = chain
 
     def run() -> int:
-        total = first([None] * slots)
+        # One slot per variable, then the run's work budget.
+        env = [None] * (slots + 1)
+        env[slots] = CHECK_EVERY
+        total = first(env)
         if total == 0:
             return 0
         return total * domain_size**free
@@ -792,6 +847,10 @@ def count_homomorphisms_compiled(
     compiled artifact (cached across calls in the planner's
     :class:`~repro.planner.analyze.PlanCache`), everything else falls
     back to the interpreter — same counts, same error classes.
+
+    A run stopped at its deadline (:mod:`repro.deadline`) takes the
+    artifact it built out of the store again, unless another lookup has
+    reused it meanwhile: nobody waits for its count.
     """
     registry = obs_metrics.active_registry()
     if registry is not None:
@@ -803,11 +862,17 @@ def count_homomorphisms_compiled(
     ensure_stack_for(query)
     from repro.planner.plan import default_plan_cache
 
-    artifact, was_hit = default_plan_cache().compiled_artifact(
+    plan_cache = default_plan_cache()
+    artifact, was_hit = plan_cache.compiled_artifact(
         query, structure, compile_component
     )
     if registry is not None:
         registry.counter(f"compiled.{artifact.mode}_runs").inc()
         if was_hit:
             registry.counter("compiled.artifact_reuses").inc()
-    return artifact.run()
+    try:
+        return artifact.run()
+    except DeadlineExpired:
+        if not was_hit:
+            plan_cache.discard_probation(artifact)
+        raise

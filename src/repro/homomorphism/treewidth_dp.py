@@ -26,10 +26,12 @@ decomposition bag for bag (the test suite checks this differentially).
 
 from __future__ import annotations
 
+import itertools
 import sys
 from collections import deque
 from typing import Hashable
 
+from repro.deadline import check
 from repro.errors import ConstantError, EvaluationError
 from repro.obs import metrics as obs_metrics
 from repro.queries.atoms import Atom, Inequality
@@ -288,17 +290,6 @@ def _count_component(
 
     unary_domain = _unary_domains(query, structure, component_variables)
 
-    def bag_assignments(bag: frozenset, pinned: dict[Variable, Element]):
-        free = sorted(v for v in bag if v not in pinned)
-        stack: list[dict[Variable, Element]] = [dict(pinned)]
-        for variable in free:
-            stack = [
-                {**partial, variable: value}
-                for partial in stack
-                for value in unary_domain[variable]
-            ]
-        return stack
-
     def satisfies(
         assignment: dict[Variable, Element],
         constraints: list[Atom | Inequality],
@@ -318,19 +309,37 @@ def _count_component(
                     return False
         return True
 
+    def bag_chunks(bag: frozenset, pinned: dict[Variable, Element]):
+        """The extensions of ``pinned`` to the bag, one chunk per binding
+        of all but its last free variable.
+
+        A bag of k free variables has up to |domain|^k assignments, too
+        many to hold at once; a chunk holds at most |domain|.
+        """
+        free = sorted(v for v in bag if v not in pinned)
+        if not free:
+            yield [dict(pinned)]
+            return
+        *outer, last = free
+        for values in itertools.product(*(unary_domain[v] for v in outer)):
+            partial = {**pinned, **dict(zip(outer, values))}
+            yield [{**partial, last: value} for value in unary_domain[last]]
+
     def message(bag: frozenset, separator_assignment: dict[Variable, Element]) -> int:
         total = 0
-        for assignment in bag_assignments(bag, separator_assignment):
-            if not satisfies(assignment, constraints_at[bag]):
-                continue
-            product = 1
-            for child in children[bag]:
-                separator = child & bag
-                restricted = {v: assignment[v] for v in separator}
-                product *= cached_message(child, restricted)
-                if product == 0:
-                    break
-            total += product
+        for chunk in bag_chunks(bag, separator_assignment):
+            check()
+            for assignment in chunk:
+                if not satisfies(assignment, constraints_at[bag]):
+                    continue
+                product = 1
+                for child in children[bag]:
+                    separator = child & bag
+                    restricted = {v: assignment[v] for v in separator}
+                    product *= cached_message(child, restricted)
+                    if product == 0:
+                        break
+                total += product
         return total
 
     cache: dict[tuple[frozenset, tuple], int] = {}

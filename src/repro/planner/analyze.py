@@ -141,7 +141,9 @@ class PlanCache:
     (component, database) pair and never looks it up again; those leave
     in FIFO order instead of flushing the artifacts a resident database
     reuses.  Promotions by a hit are counted as
-    ``plan.compile.promotions``; a refresh is not.
+    ``plan.compile.promotions``; a refresh is not.  A count stopped at
+    its deadline takes its artifact out of probation again
+    (:meth:`discard_probation`).
     """
 
     def __init__(
@@ -289,6 +291,20 @@ class PlanCache:
         """Snapshot of both artifact segments (for delta migration)."""
         with self._lock:
             return [*self._compiled.items(), *self._probation.items()]
+
+    def discard_probation(self, artifact) -> bool:
+        """Drop ``artifact`` if it still waits in probation.
+
+        True when it was dropped.  An artifact that a lookup has reused
+        meanwhile has moved to the main LRU and stays, as does another
+        build stored under the same key.
+        """
+        with self._lock:
+            for key, entry in self._probation.items():
+                if entry is artifact:
+                    del self._probation[key]
+                    return True
+        return False
 
     def compiled_discard(self, key) -> bool:
         """Drop one artifact entry; True when it was present."""

@@ -44,6 +44,12 @@ __all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
 
 _ENGINES = ("auto", "backtracking", "treewidth", "acyclic", "compiled")
 
+#: Bound on ``domain_size ** max_arity`` of a ``/decide`` request's
+#: schema: every candidate draws one coin per possible tuple of each
+#: relation before the search can check its deadline again.  ``count``
+#: needs no bound, since the search checks the deadline per candidate.
+MAX_DECIDE_TUPLES = 1 << 16
+
 
 @dataclass(frozen=True)
 class ParsedRequest:
@@ -446,6 +452,14 @@ def parse_decide(
     multiplier = _parse_int(body, "multiplier", 1, minimum=1)
     additive = _parse_int(body, "additive", 0)
     domain_size = _parse_int(body, "domain_size", 3, minimum=1)
+    schema = phi_s.schema.union(phi_b.schema)
+    arity = max([1, *(symbol.arity for symbol in schema)])
+    if domain_size**arity > MAX_DECIDE_TUPLES:
+        raise BadRequestError(
+            f"'domain_size' {domain_size} makes {domain_size}^{arity} "
+            f"possible tuples per relation, over the limit of "
+            f"{MAX_DECIDE_TUPLES}"
+        )
     candidates = _parse_int(body, "count", 100, minimum=0)
     seed = _parse_int(body, "seed", 0)
     max_candidates = _parse_int(body, "max_candidates", None, minimum=0)
@@ -456,7 +470,6 @@ def parse_decide(
     def run() -> dict:
         from repro.decision.search import find_counterexample, random_structures
 
-        schema = phi_s.schema.union(phi_b.schema)
         stream = random_structures(
             schema,
             domain_size=domain_size,

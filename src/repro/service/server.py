@@ -31,11 +31,14 @@ add no work.
 
 **Deadlines.**  Each request carries ``deadline_ms`` (defaulting to the
 server's).  The waiting HTTP thread gives up at the deadline and
-responds with a ``deadline_exceeded`` envelope; the evaluation itself is
-never interrupted mid-flight (Python threads cannot be killed safely),
-so shared caches only ever see *completed, correct* counts — a timeout
-cannot poison them.  A queued job whose waiters have all timed out is
-skipped when it reaches a worker (``service.expired_skipped``).
+responds with a ``deadline_exceeded`` envelope.  A flight expires at the
+latest deadline among its waiters: the worker installs it for the
+engines' deadline checks (:mod:`repro.deadline`), so an evaluation that
+nobody waits for anymore stops, frees its worker and stores nothing
+(``service.cancelled``).  Shared caches only ever see *completed,
+correct* counts — a timeout cannot poison them.  A queued job whose
+waiters have all timed out is skipped when it reaches a worker
+(``service.expired_skipped``).
 
 **Graceful shutdown.**  :meth:`EvaluationServer.close` stops accepting,
 marks the server draining (new requests get a 503 ``shutting_down``
@@ -51,7 +54,8 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 
-from repro.errors import BagCQError
+from repro.deadline import FLIGHT
+from repro.errors import BagCQError, DeadlineExpired
 from repro.homomorphism.cache import DEFAULT_CACHE_SIZE, CountCache
 from repro.obs import activate
 from repro.obs.metrics import Registry
@@ -74,6 +78,7 @@ _SERVICE_COUNTERS = (
     "service.shed",
     "service.deadline_exceeded",
     "service.expired_skipped",
+    "service.cancelled",
     "service.completed",
     "service.errors",
     "service.rejected_draining",
@@ -126,10 +131,17 @@ class ServerConfig:
 
 
 class _Flight:
-    """One in-flight unit of work and everyone waiting on it."""
+    """One in-flight unit of work and everyone waiting on it.
+
+    The worker installs it as the :data:`repro.deadline.FLIGHT` of the
+    evaluation, whose deadline checks read :attr:`deadline` live: the
+    latest deadline among its waiters, extended by each waiter that
+    joins.
+    """
 
     __slots__ = (
         "key",
+        "server",
         "event",
         "result",
         "error",
@@ -140,8 +152,11 @@ class _Flight:
         "leader_request_id",
     )
 
-    def __init__(self, key: tuple, deadline: float) -> None:
+    def __init__(
+        self, key: tuple, deadline: float, server: "EvaluationServer"
+    ) -> None:
         self.key = key
+        self.server = server
         self.event = threading.Event()
         self.result: dict | None = None
         self.error: BaseException | None = None
@@ -156,6 +171,22 @@ class _Flight:
         #: Request id of the waiter that created the flight; coalesced
         #: waiters record it so a trace names whose evaluation it shared.
         self.leader_request_id: str | None = None
+
+    def expire(self) -> None:
+        """Stop the evaluation: a deadline check found the deadline passed.
+
+        Confirmed under the flights lock, where waiters join: a waiter
+        that joined meanwhile has extended the deadline, and the
+        evaluation goes on for it.  Otherwise the flight leaves the
+        table first, so a request arriving now starts a fresh flight
+        instead of joining one that is being cancelled.
+        """
+        server = self.server
+        with server._flights_lock:
+            if time.monotonic() <= self.deadline:
+                return
+            server._detach(self)
+        raise DeadlineExpired("every waiter's deadline has passed")
 
 
 class _RecentIds:
@@ -531,20 +562,24 @@ class EvaluationServer:
             wait_span.set(leader_request_id=flight.leader_request_id)
         remaining = deadline - time.monotonic()
         completed = flight.event.wait(timeout=max(0.0, remaining))
-        context.end(wait_span, completed=completed)
         if not completed:
             self._leave_flight(flight)
-            self._counter("service.deadline_exceeded")
-            raise _ServiceFailure(
-                protocol.KIND_DEADLINE,
-                f"deadline of {deadline_s * 1000:.0f} ms exceeded; "
-                "the evaluation may still complete and warm the cache",
-            )
-        if created:
+        elif created:
             # Adopt the worker-built spans (queue_wait, evaluate) into
             # the leader's request trace.  Safe: the worker attached them
             # before setting the event, and only the leader adopts.
             context.root.children.extend(flight.spans)
+        # A flight is cancelled only once every waiter's deadline has
+        # passed, but a waiter may wake on the cancellation a moment
+        # before its own wait would have timed out.
+        expired = not completed or isinstance(flight.error, DeadlineExpired)
+        context.end(wait_span, completed=not expired)
+        if expired:
+            self._counter("service.deadline_exceeded")
+            raise _ServiceFailure(
+                protocol.KIND_DEADLINE,
+                f"deadline of {deadline_s * 1000:.0f} ms exceeded",
+            )
         if flight.error is not None:
             self._counter("service.errors")
             if isinstance(flight.error, _ServiceFailure):
@@ -561,7 +596,7 @@ class EvaluationServer:
     ) -> tuple[_Flight, bool]:
         leader_id = None if context is None else context.request_id
         if not self.config.coalesce:
-            flight = _Flight(request.key, deadline)
+            flight = _Flight(request.key, deadline, self)
             flight.leader_request_id = leader_id
             return flight, True
         with self._flights_lock:
@@ -570,10 +605,19 @@ class EvaluationServer:
                 existing.waiters += 1
                 existing.deadline = max(existing.deadline, deadline)
                 return existing, False
-            flight = _Flight(request.key, deadline)
+            flight = _Flight(request.key, deadline, self)
             flight.leader_request_id = leader_id
             self._flights[request.key] = flight
             return flight, True
+
+    def _detach(self, flight: _Flight) -> None:
+        """Remove ``flight`` from the table (flights lock held).
+
+        By identity: once a cancelled flight has left, a new flight may
+        hold its key.
+        """
+        if self._flights.get(flight.key) is flight:
+            del self._flights[flight.key]
 
     def _leave_flight(self, flight: _Flight) -> None:
         """A waiter timed out; the flight may become abandoned."""
@@ -583,7 +627,7 @@ class EvaluationServer:
     def _abandon_flight(self, flight: _Flight, error: BaseException) -> None:
         """Resolve a never-enqueued flight so coalesced waiters wake too."""
         with self._flights_lock:
-            self._flights.pop(flight.key, None)
+            self._detach(flight)
         flight.error = error
         flight.event.set()
 
@@ -617,12 +661,12 @@ class EvaluationServer:
                         # Nobody is listening anymore: drop the job instead
                         # of spending a worker on it, and make the key
                         # immediately reusable.
-                        self._flights.pop(flight.key, None)
+                        self._detach(flight)
                 if expired:
                     self._counter("service.expired_skipped")
                     queue_wait.set(outcome="expired_skipped")
                     flight.spans = [queue_wait]
-                    flight.error = BagCQError("expired before execution")
+                    flight.error = DeadlineExpired("expired before execution")
                     flight.event.set()
                     continue
                 with self._inflight_lock:
@@ -632,6 +676,7 @@ class EvaluationServer:
                     "evaluate", attrs={"endpoint": request.endpoint}
                 )
                 evaluate.start = time.perf_counter()
+                token = FLIGHT.set(flight)
                 try:
                     with self.registry.histogram(
                         f"service.time.{request.endpoint}"
@@ -639,10 +684,15 @@ class EvaluationServer:
                         flight.result = request.run()
                     self._counter("service.completed")
                     evaluate.set(outcome="ok")
+                except DeadlineExpired as error:
+                    flight.error = error
+                    self._counter("service.cancelled")
+                    evaluate.set(outcome="cancelled")
                 except BaseException as error:  # noqa: BLE001 — fanned to waiters
                     flight.error = error
                     evaluate.set(outcome="error", error=type(error).__name__)
                 finally:
+                    FLIGHT.reset(token)
                     evaluate.duration = time.perf_counter() - evaluate.start
                     # Attach spans *before* event.set(): the leader reads
                     # them only after wait() returns.
@@ -653,7 +703,7 @@ class EvaluationServer:
                             self._inflight
                         )
                     with self._flights_lock:
-                        self._flights.pop(flight.key, None)
+                        self._detach(flight)
                     flight.event.set()
 
     # -- introspection -----------------------------------------------------
@@ -850,7 +900,7 @@ class _RequestHandler(wire.Handler):
             return
         try:
             body = json.loads(self.body.decode("utf-8")) if self.body else {}
-        except (ValueError, UnicodeDecodeError) as error:
+        except (ValueError, UnicodeDecodeError, RecursionError) as error:
             server.registry.counter("service.errors").inc()
             self._fail_request(
                 _ServiceFailure(

@@ -82,6 +82,10 @@ class HTTPServer(socketserver.ThreadingMixIn, socketserver.TCPServer):
 
     allow_reuse_address = True
     daemon_threads = True
+    #: The listen backlog.  ``socketserver``'s 5 overflows when more
+    #: clients connect at once than the accept loop takes in; Linux then
+    #: drops their SYNs, and each of those clients retries after ~1 s.
+    request_queue_size = 128
 
 
 class Headers(dict):

@@ -620,7 +620,7 @@ class ShardRouter:
         """
         try:
             body = json.loads(raw_body.decode("utf-8")) if raw_body else {}
-        except (ValueError, UnicodeDecodeError):
+        except (ValueError, UnicodeDecodeError, RecursionError):
             body = None  # routed opaquely; the worker sends the 400
         key = routing_key(endpoint, body if body is not None else raw_body.hex())
         candidates = self.ring.candidates(key)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import itertools
+import threading
 
 import pytest
 
+from repro.deadline import check
 from repro.homomorphism import is_homomorphism
 from repro.polynomials import Lemma11Instance, Monomial
 from repro.relational import Schema, Structure
+from repro.service.handlers import ENDPOINTS, ParsedRequest
 
 
 @pytest.fixture
@@ -64,3 +67,47 @@ def brute_force_count(query, structure) -> int:
         if is_homomorphism(dict(zip(variables, combo)), query, structure):
             total += 1
     return total
+
+
+class Gate:
+    """A service endpoint whose evaluations wait at a gate.
+
+    ``run()`` sets :attr:`entered`, then loops on the deadline check
+    (:func:`repro.deadline.check`) until :attr:`opened` is set, then
+    runs the real evaluation.  A test holds a worker for as long as it
+    likes without timing a slow query, and a flight whose deadline
+    passes at the gate is cancelled exactly as a running count is.
+    """
+
+    def __init__(self, monkeypatch, endpoint: str) -> None:
+        self.entered = threading.Event()
+        self.opened = threading.Event()
+        parse = ENDPOINTS[endpoint]
+
+        def gated(body, cache, databases=None) -> ParsedRequest:
+            parsed = parse(body, cache, databases)
+
+            def run() -> dict:
+                self.entered.set()
+                while not self.opened.wait(0.001):
+                    check()
+                return parsed.run()
+
+            return ParsedRequest(parsed.endpoint, parsed.key, run)
+
+        monkeypatch.setitem(ENDPOINTS, endpoint, gated)
+
+
+@pytest.fixture
+def gate(monkeypatch):
+    """``gate(endpoint)`` holds that endpoint's evaluations at a
+    :class:`Gate`; every gate opens at teardown, so no worker stays held."""
+    gates: list[Gate] = []
+
+    def hold(endpoint: str = "evaluate") -> Gate:
+        gates.append(Gate(monkeypatch, endpoint))
+        return gates[-1]
+
+    yield hold
+    for held in gates:
+        held.opened.set()

@@ -322,16 +322,25 @@ class TestCoalescing:
             assert len(set(results)) == 1
 
 
+def _wait_for(condition, timeout_s: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
+
+
 class TestAdmissionControl:
-    def test_full_queue_sheds_structured_429(self):
+    def test_full_queue_sheds_structured_429(self, gate):
+        # The one worker is held at a gate and the queue filled before
+        # the rest arrive, so exactly which requests shed is determined.
+        held = gate("evaluate")
         config = ServerConfig(workers=1, queue_depth=2, coalesce=False)
         with EvaluationServer(config) as server:
             outcomes: list[tuple[str, object]] = []
-            barrier = threading.Barrier(10)
 
             def fire():
                 client = ServiceClient(server.url, retries=0)
-                barrier.wait()
                 try:
                     value = client.evaluate(
                         SLOW_QUERY, GRAPH, engine="backtracking", cache=False
@@ -341,8 +350,15 @@ class TestAdmissionControl:
                     outcomes.append(("shed", error))
 
             threads = [threading.Thread(target=fire) for _ in range(10)]
-            for thread in threads:
+            threads[0].start()
+            assert held.entered.wait(timeout=10)
+            for thread in threads[1:3]:
                 thread.start()
+            _wait_for(lambda: server.health()["queued"] == 2)
+            for thread in threads[3:]:
+                thread.start()
+            _wait_for(lambda: len(outcomes) == 7)
+            held.opened.set()
             for thread in threads:
                 # Bounded join: a hung request would trip the assert below.
                 thread.join(timeout=60)

@@ -1,9 +1,10 @@
 """The HTTP/1.1 front shared by the evaluation server and the shard router.
 
 Raw sockets drive what ``urllib`` cannot send: malformed request lines,
-unsupported methods, over-long lines, too many headers, and bodies the
-front cannot size or will not read (over ``MAX_BODY``).  Each gets a
-versioned JSON error envelope and a closed connection.  ``http.client``
+unsupported methods, over-long lines, too many headers, bodies the front
+cannot size or will not read (over ``MAX_BODY``), and JSON nested past
+the recursion limit.  Each gets a versioned JSON error envelope.  A
+burst of connections fits the listen backlog.  ``http.client``
 and raw sockets also pin the connection rules: HTTP/1.1 keep-alive,
 HTTP/1.0 close, ``Expect: 100-continue`` and the idle timeout.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 import http.client
 import json
 import socket
+import threading
 import time
 
 import pytest
@@ -232,3 +234,44 @@ def test_idle_connection_is_dropped_after_the_timeout(server, monkeypatch):
         started = time.monotonic()
         assert sock.recv(1) == b""
         assert time.monotonic() - started < 5
+
+
+def test_deeply_nested_json_is_a_400_envelope(front):
+    # Nesting past the recursion limit makes ``json.loads`` raise
+    # RecursionError, not ValueError; the router then routes the body
+    # opaquely and the worker answers it.
+    body = b"[" * 100_000
+    reply = _exchange(
+        front.address,
+        b"POST /evaluate HTTP/1.1\r\nConnection: close\r\n"
+        b"Content-Length: %d\r\n\r\n" % len(body) + body,
+    )
+    status, _, payload = _parse(reply)
+    assert status == 400
+    assert payload["protocol_version"] == protocol.PROTOCOL_VERSION
+    assert payload["error"]["kind"] == "bad_request"
+    reply = _exchange(front.address, b"GET /healthz HTTP/1.0\r\n\r\n")
+    assert _parse(reply)[0] == 200
+
+
+def test_a_burst_of_connections_fits_the_listen_backlog(server):
+    # A SYN the accept queue drops is retried after ~1 s, so every
+    # answer within 1 s means none of the 64 was dropped.
+    burst = 64
+    barrier = threading.Barrier(burst)
+    elapsed: list[float] = []
+
+    def connect() -> None:
+        barrier.wait()
+        started = time.monotonic()
+        reply = _exchange(server.address, b"GET /healthz HTTP/1.0\r\n\r\n")
+        assert _parse(reply)[0] == 200
+        elapsed.append(time.monotonic() - started)
+
+    threads = [threading.Thread(target=connect) for _ in range(burst)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=30)
+    assert len(elapsed) == burst
+    assert max(elapsed) < 1.0
