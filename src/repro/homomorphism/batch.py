@@ -202,7 +202,9 @@ def count_many(
                 est_cost = 0.0
                 if estimate_for_packing:
                     profile, _ = plan_cache.profile(component)
-                    est_cost = estimate_cost(concrete, profile, structure)
+                    est_cost = estimate_cost(
+                        concrete, component, profile, structure
+                    )
             task: _Task = (
                 component,
                 structure,

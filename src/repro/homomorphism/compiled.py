@@ -874,5 +874,5 @@ def count_homomorphisms_compiled(
         return artifact.run()
     except DeadlineExpired:
         if not was_hit:
-            plan_cache.discard_probation(artifact)
+            plan_cache.artifacts.discard_probation(artifact)
         raise

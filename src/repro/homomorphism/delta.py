@@ -37,10 +37,11 @@ import threading
 from dataclasses import dataclass
 
 from repro.homomorphism.cache import (
+    ComponentKey,
     CountCache,
-    component_fingerprint,
-    key_depends_on_domain,
-    key_relations,
+    affected_by,
+    key_scope,
+    refingerprint,
 )
 from repro.homomorphism.compiled import _effective_changes, refresh_component
 from repro.obs import metrics as obs_metrics
@@ -52,18 +53,18 @@ from repro.relational.structure import Delta, Structure
 __all__ = ["DeltaEvaluator", "DeltaReport", "delta_affects"]
 
 
-def _atom_can_match(atom, fact: tuple, structure: Structure) -> bool:
-    """Can ``atom`` possibly be mapped onto ``fact``?
+def _atom_can_match(terms: tuple, fact: tuple, structure: Structure) -> bool:
+    """Can an atom with ``terms`` possibly be mapped onto ``fact``?
 
     Sound over-approximation: returns ``False`` only on a *proof* of
     impossibility — an arity mismatch, a constant position whose
     interpretation differs from the fact's value, or a repeated variable
     forced onto two different values.
     """
-    if len(fact) != len(atom.terms):
+    if len(fact) != len(terms):
         return False
     seen: dict[Variable, object] = {}
-    for value, term in zip(fact, atom.terms):
+    for value, term in zip(fact, terms):
         if isinstance(term, Constant):
             if not structure.interprets(term.name):
                 return False
@@ -76,11 +77,31 @@ def _atom_can_match(atom, fact: tuple, structure: Structure) -> bool:
     return True
 
 
+def _changes_match(atoms, relations, delta: Delta, structure: Structure) -> bool:
+    """Does a fact the delta changes in ``relations`` match an atom?
+
+    ``atoms`` are the ``(relation, terms)`` pairs checked fact by fact;
+    a relation none of them names matches every changed fact (its atoms
+    pin nothing).
+    """
+    checked = {name for name, _ in atoms}
+    for relation in delta.touched_relations() & set(relations):
+        adds, removes = _effective_changes(structure, relation, delta)
+        for fact in adds | removes:
+            if relation not in checked or any(
+                name == relation and _atom_can_match(terms, fact, structure)
+                for name, terms in atoms
+            ):
+                return True
+    return False
+
+
 def delta_affects(
-    component: ConjunctiveQuery,
+    component: ConjunctiveQuery | ComponentKey,
     delta: Delta,
     structure: Structure,
     new_structure: Structure,
+    domain_dependent: bool | None = None,
 ) -> bool:
     """Can applying ``delta`` to ``structure`` change the component's count?
 
@@ -90,27 +111,26 @@ def delta_affects(
     a constant (or repeats a variable) in a way the fact contradicts —
     and the domain size is unchanged or irrelevant to the component.
     ``True`` merely means "cannot rule it out".
+
+    ``component`` may be a :class:`ComponentKey`, whose ``pattern`` holds
+    the atoms that can reject a fact; ``domain_dependent`` then says
+    whether its count reads the domain size (the key's fingerprint knows).
     """
-    atom_variables = {
-        term
-        for atom in component.atoms
-        for term in atom.terms
-        if isinstance(term, Variable)
-    }
-    if component.variables - atom_variables and len(
-        new_structure.domain
-    ) != len(structure.domain):
+    if isinstance(component, ComponentKey):
+        atoms, relations = component.pattern or (), component.relations
+    else:
+        atoms = tuple((atom.relation, atom.terms) for atom in component.atoms)
+        relations = {atom.relation for atom in component.atoms}
+        atom_variables = {
+            term
+            for _, terms in atoms
+            for term in terms
+            if isinstance(term, Variable)
+        }
+        domain_dependent = bool(component.variables - atom_variables)
+    if domain_dependent and len(new_structure.domain) != len(structure.domain):
         return True
-    dependencies = {atom.relation for atom in component.atoms}
-    for relation in delta.touched_relations() & dependencies:
-        adds, removes = _effective_changes(structure, relation, delta)
-        for fact in adds | removes:
-            for atom in component.atoms:
-                if atom.relation == relation and _atom_can_match(
-                    atom, fact, structure
-                ):
-                    return True
-    return False
+    return _changes_match(atoms, relations, delta, structure)
 
 
 @dataclass(frozen=True)
@@ -182,71 +202,54 @@ class DeltaEvaluator:
 
     # -- applying deltas --------------------------------------------------
 
-    def _entry_is_current(self, key, structure: Structure) -> bool:
-        """Does the entry's fingerprint vector match ``structure``?
+    @staticmethod
+    def _touched_entries(store, delta: Delta, old: Structure, new):
+        """``(key, value)`` of every entry of this database version whose
+        relations (or domain size) the delta touches.
 
-        Distinguishes *this* database version's entries from entries of
-        other databases (or older versions) sharing the cache; only
-        current entries are migrated/evicted.  All three content parts
-        must match — relations, constants, and domain size — or a
-        coincidence on relation content alone could adopt an artifact
-        whose constants this database never interpreted.
+        Keys of another shape are dropped on the way.  Entries of other
+        databases, or of other versions, share the store and are left
+        alone: an entry is this version's only when all three parts of
+        its fingerprint — relations, constants and domain size — re-read
+        the same on ``old``, or a coincidence on relation content alone
+        could adopt an artifact whose constants this database never
+        interpreted.
         """
-        from repro.homomorphism.cache import _MISSING
-
-        fingerprint = key[1]
-        for name, fp in fingerprint[1]:
-            if name in structure.schema:
-                if fp != structure.relation_fingerprint(name):
-                    return False
-            elif fp is not None:
-                return False
-        for name, interpretation in fingerprint[2]:
-            if structure.interprets(name):
-                if interpretation != structure.constants[name]:
-                    return False
-            elif interpretation != _MISSING:
-                return False
-        if fingerprint[3] is not None and fingerprint[3] != len(
-            structure.domain
-        ):
-            return False
-        return True
+        affected = affected_by(
+            delta.touched_relations(), old.domain != new.domain
+        )
+        for key, value in store.items():
+            scope = key_scope(key)
+            if scope is None:
+                store.discard(key)
+            elif (
+                affected(scope)
+                and refingerprint(key[0], key[1], old) == key[1]
+            ):
+                yield key, value
 
     def _migrate_counts(
         self, delta: Delta, old: Structure, new: Structure
     ) -> tuple[int, int]:
         """Migrate/evict count-cache entries; ``(invalidated, migrated)``."""
-        touched = delta.touched_relations()
-        domain_changed = old.domain != new.domain
         invalidated = 0
         migrated = 0
-        for key, value in self._cache.items():
-            depends = key_relations(key)
-            if depends is None:
-                # Foreign key shape: conservatively drop.
-                if self._cache.discard(key):
-                    invalidated += 1
+        for key, value in self._touched_entries(self._cache, delta, old, new):
+            component, fingerprint, engine = key
+            if delta_affects(
+                component, delta, old, new, fingerprint[2] is not None
+            ):
+                invalidated += self._cache.discard(key)
                 continue
-            affected = bool(depends & touched) or (
-                domain_changed and key_depends_on_domain(key)
+            new_key = (
+                component,
+                refingerprint(component, fingerprint, new),
+                engine,
             )
-            if not affected:
-                continue  # key unchanged, entry stays exact
-            if not self._entry_is_current(key, old):
-                continue  # another database's (or version's) entry
-            component = key[0]
-            if not delta_affects(component, delta, old, new):
-                new_key = (
-                    component,
-                    component_fingerprint(component, new),
-                    key[2],
-                )
-                self._cache.store(new_key, value)
+            if new_key != key:  # a no-op delta keeps the fingerprint
+                self._cache.store(new_key, value, admit=True)
                 self._cache.discard(key)
-                migrated += 1
-            elif self._cache.discard(key):
-                invalidated += 1
+            migrated += 1
         return invalidated, migrated
 
     def _migrate_compiled(
@@ -256,39 +259,22 @@ class DeltaEvaluator:
 
         Each refreshed artifact replaces the one it was refreshed from,
         exactly as :meth:`_migrate_counts` re-keys counts: the old
-        version's entry is dropped once the new one is stored.
+        version's entry is dropped once the new one is stored.  A
+        refresh is reuse, so the artifact skips probation.
         """
-        touched = delta.touched_relations()
-        domain_changed = old.domain != new.domain
         refreshed = 0
-        items = getattr(self._plan_cache, "compiled_items", None)
-        if items is None:
+        artifacts = getattr(self._plan_cache, "artifacts", None)
+        if artifacts is None:
             return 0
-        for key, artifact in items():
-            if not (isinstance(key, tuple) and len(key) == 2):
-                continue
-            component, fingerprint = key
-            if not (
-                isinstance(fingerprint, tuple)
-                and len(fingerprint) == 4
-                and fingerprint[0] == "§fp"
-            ):
-                continue
-            depends = frozenset(name for name, _ in fingerprint[1])
-            affected = bool(depends & touched) or (
-                domain_changed and fingerprint[3] is not None
-            )
-            if not affected:
-                continue  # new version hits the same key
-            if not self._entry_is_current((component, fingerprint), old):
-                continue
+        for key, artifact in self._touched_entries(artifacts, delta, old, new):
             new_artifact = refresh_component(artifact, old, new, delta)
             if new_artifact is None:
                 continue  # pre-refresh artifact; a miss will recompile
-            new_key = (component, component_fingerprint(component, new))
-            self._plan_cache.store_compiled(new_key, new_artifact)
+            component, fingerprint = key
+            new_key = (component, refingerprint(component, fingerprint, new))
+            artifacts.store(new_key, new_artifact, admit=True)
             if new_key != key:  # a no-op delta keeps the fingerprint
-                self._plan_cache.compiled_discard(key)
+                artifacts.discard(key)
             refreshed += 1
         return refreshed
 

@@ -197,11 +197,11 @@ def _dispatch(component, structure, counter, engine: str, registry, cache=None) 
         if hit is not None:
             if engine == "compiled":
                 # A count hit is a reuse of the component's artifact,
-                # keyed ``(canonical, fingerprint)``: admit it from
+                # keyed ``(component key, fingerprint)``: admit it from
                 # probation, so the next delta still finds it to refresh.
                 from repro.planner.plan import default_plan_cache
 
-                default_plan_cache().promote_compiled(key[:2])
+                default_plan_cache().artifacts.promote(key[:2])
             return hit
     try:
         if registry is None:

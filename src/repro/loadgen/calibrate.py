@@ -65,8 +65,8 @@ def collect_samples(
             safe = engines if safe is None else safe & engines
         for engine in sorted(safe or ()):
             visits = sum(
-                estimate_visits(engine, profile, case.structure)
-                for profile in profiles
+                estimate_visits(engine, component, profile, case.structure)
+                for component, profile in zip(components, profiles)
             )
             started = time.perf_counter()
             for _ in range(repeat):

@@ -196,13 +196,31 @@ def _saturating_power(base: float, exponent: int) -> float:
     return total
 
 
-def _relevant_facts(profile: ComponentProfile, structure: Structure) -> int:
-    """Facts in the relations the component touches (missing ones: 0)."""
-    total = 0
-    for relation, _ in profile.relations:
-        if relation in structure.schema:
-            total += structure.fact_count(relation)
-    return total
+def _relevant_facts(component: ConjunctiveQuery, structure: Structure) -> int:
+    """Facts in the relations the component's atoms read, one term per
+    atom (missing relations: 0)."""
+    schema = structure.schema
+    return sum(
+        structure.fact_count(atom.relation)
+        for atom in component.atoms
+        if atom.relation in schema
+    )
+
+
+def _join_bound(component: ConjunctiveQuery, structure: Structure) -> float:
+    """The naive join size: the product of the per-atom fact counts."""
+    schema = structure.schema
+    join = 1.0
+    for atom in component.atoms:
+        cardinality = (
+            structure.fact_count(atom.relation)
+            if atom.relation in schema
+            else 0
+        )
+        join *= float(max(cardinality, 1))
+        if join >= COST_CEILING:
+            return COST_CEILING
+    return join
 
 
 def eligible_engines(
@@ -236,9 +254,9 @@ def eligible_engines(
             for constant in component.constants
         )
         and all(
-            relation not in structure.schema
-            or structure.schema.arity(relation) == arity
-            for relation, arity in profile.relations
+            atom.relation not in structure.schema
+            or structure.schema.arity(atom.relation) == atom.arity
+            for atom in component.atoms
         )
     )
     if specializable and profile.acyclic:
@@ -250,6 +268,7 @@ def eligible_engines(
 
 def estimate_visits(
     engine: str,
+    component: ConjunctiveQuery,
     profile: ComponentProfile,
     structure: Structure,
     constants: CostConstants | None = None,
@@ -261,7 +280,7 @@ def estimate_visits(
     """
     constants = constants or _current_constants
     domain_size = max(len(structure.domain), 1)
-    facts = _relevant_facts(profile, structure)
+    facts = _relevant_facts(component, structure)
     if engine == "acyclic":
         return (
             constants.acyclic_base
@@ -282,18 +301,9 @@ def estimate_visits(
         assignments = _saturating_power(
             float(domain_size), profile.variable_count
         )
-        join = 1.0
-        for relation, _ in profile.relations:
-            cardinality = (
-                structure.fact_count(relation)
-                if relation in structure.schema
-                else 0
-            )
-            join *= float(max(cardinality, 1))
-            if join >= COST_CEILING:
-                join = COST_CEILING
-                break
-        return constants.backtracking_base + min(assignments, join)
+        return constants.backtracking_base + min(
+            assignments, _join_bound(component, structure)
+        )
     if engine == "compiled":
         # Index build: linear in the facts, plus a per-atom closure /
         # grouping setup.  Residual search: free for acyclic shapes (the
@@ -310,17 +320,7 @@ def estimate_visits(
         assignments = _saturating_power(
             float(domain_size), profile.variable_count
         )
-        join = 1.0
-        for relation, _ in profile.relations:
-            cardinality = (
-                structure.fact_count(relation)
-                if relation in structure.schema
-                else 0
-            )
-            join *= float(max(cardinality, 1))
-            if join >= COST_CEILING:
-                join = COST_CEILING
-                break
+        join = _join_bound(component, structure)
         return min(
             build + constants.compiled_per_node * min(assignments, join),
             COST_CEILING,
@@ -330,6 +330,7 @@ def estimate_visits(
 
 def estimate_cost(
     engine: str,
+    component: ConjunctiveQuery,
     profile: ComponentProfile,
     structure: Structure,
     constants: CostConstants | None = None,
@@ -338,7 +339,7 @@ def estimate_cost(
     constants = constants or _current_constants
     return min(
         constants.scale(engine)
-        * estimate_visits(engine, profile, structure, constants),
+        * estimate_visits(engine, component, profile, structure, constants),
         COST_CEILING,
     )
 
@@ -353,7 +354,7 @@ def select_engine(
     constants = constants or _current_constants
     best: tuple[float, int, str] | None = None
     for engine in eligible_engines(component, profile, structure):
-        cost = estimate_cost(engine, profile, structure, constants)
+        cost = estimate_cost(engine, component, profile, structure, constants)
         candidate = (cost, _PREFERENCE[engine], engine)
         if best is None or candidate < best:
             best = candidate

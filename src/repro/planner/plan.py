@@ -89,7 +89,7 @@ def plan_cache_occupancy(cache: PlanCache | None = None) -> dict:
     plan_cache = cache if cache is not None else _DEFAULT_PLAN_CACHE
     return {
         "profiles": plan_cache.stats(),
-        "compiled": plan_cache.compiled_stats(),
+        "compiled": plan_cache.artifacts.stats(),
     }
 
 

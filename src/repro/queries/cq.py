@@ -55,6 +55,7 @@ class ConjunctiveQuery:
         "_variables",
         "_constants",
         "_canonical",
+        "_key",
         "_components",
     )
 
@@ -100,10 +101,12 @@ class ConjunctiveQuery:
         self._variables = frozenset(variables)
         # Most queries mention no constant: share one empty set.
         self._constants = frozenset(constants) if constants else _NO_CONSTANTS
-        # Per-object memos: the canonical form is filled in by
-        # :func:`repro.homomorphism.cache.canonical_component`, the
-        # component split by :meth:`connected_components`.
+        # Per-object memos: the canonical form and its key are filled in
+        # by :func:`repro.homomorphism.cache.canonical_component` and
+        # :func:`~repro.homomorphism.cache.component_key`, the component
+        # split by :meth:`connected_components`.
         self._canonical: ConjunctiveQuery | None = None
+        self._key = None
         self._components: tuple | object | None = None
 
     # -- accessors -------------------------------------------------------

@@ -444,7 +444,13 @@ def parse_explain(
 def parse_decide(
     body: dict, cache: CountCache | None, databases=None
 ) -> ParsedRequest:
-    """``POST /decide`` — a bounded random-stream counterexample search."""
+    """``POST /decide`` — a bounded random-stream counterexample search.
+
+    The search counts through a fresh, request-local
+    :class:`~repro.homomorphism.cache.CountCache`, never the shared
+    ``cache``: its candidates are fresh random structures, so their
+    component counts never hit again and would only evict resident ones.
+    """
     body = _require_dict(body)
     engine = _get_engine(body)
     phi_s = _parse_query_field(body, "phi_s")
@@ -486,7 +492,7 @@ def parse_decide(
                 additive=additive,
                 max_candidates=max_candidates,
                 engine=engine,
-                cache=cache,
+                cache=CountCache(),
             )
         except SearchBudgetExceeded as error:
             return {

@@ -149,6 +149,7 @@ class _Flight:
         "deadline",
         "enqueued_at",
         "spans",
+        "late",
         "leader_request_id",
     )
 
@@ -168,6 +169,10 @@ class _Flight:
         #: event is set so the leader's HTTP thread can adopt them into
         #: its request trace without cross-thread context variables.
         self.spans: list[Span] = []
+        #: The span list of a leader trace recorded before the worker
+        #: ended the flight (a 504 does not wait): the worker appends its
+        #: spans' snapshots there.  Both under the flights lock.
+        self.late: list[dict] | None = None
         #: Request id of the waiter that created the flight; coalesced
         #: waiters record it so a trace names whose evaluation it shared.
         self.leader_request_id: str | None = None
@@ -235,6 +240,7 @@ class RequestContext:
         "coalesced",
         "root",
         "started",
+        "flight",
     )
 
     def __init__(
@@ -255,6 +261,10 @@ class RequestContext:
             },
         )
         self.root.start = self.started
+        #: A flight this leader stopped waiting for before its worker
+        #: spans arrived; :meth:`EvaluationServer.finish_request` leaves
+        #: them a place in the recorded trace.
+        self.flight: _Flight | None = None
 
     def child(self, name: str, **attrs) -> Span:
         """Open a child span under the root (single-threaded: HTTP thread)."""
@@ -413,9 +423,10 @@ class EvaluationServer:
             from repro.planner.plan import default_plan_cache
 
             self.count_cache.attach_durable(None)
-            for cache in (default_plan_cache(), default_containment_cache()):
-                if getattr(cache, "_durable", None) is self.durable:
-                    cache.attach_durable(None)
+            stores = (default_plan_cache().profiles, default_containment_cache())
+            for store in stores:
+                if store._durable is self.durable:
+                    store.attach_durable(None)
 
     def __enter__(self) -> "EvaluationServer":
         return self.start()
@@ -460,6 +471,16 @@ class EvaluationServer:
             self.registry.histogram(
                 f"service.request_ms.{context.endpoint}"
             ).observe(context.root.duration)
+        spans = context.root.snapshot()
+        flight = context.flight
+        if flight is not None:
+            # The leader gave up waiting: adopt the worker's spans if they
+            # arrived meanwhile, else let the worker append them later.
+            with self._flights_lock:
+                arrived = flight.spans
+                if not arrived:
+                    flight.late = spans["children"]
+            spans["children"].extend(span.snapshot() for span in arrived)
         self.recorder.record(
             {
                 "trace_id": context.trace_id,
@@ -468,7 +489,7 @@ class EvaluationServer:
                 "status": status,
                 "retried": context.retried,
                 "duration_ms": context.root.duration_ms,
-                "spans": context.root.snapshot(),
+                "spans": spans,
             }
         )
 
@@ -564,6 +585,8 @@ class EvaluationServer:
         completed = flight.event.wait(timeout=max(0.0, remaining))
         if not completed:
             self._leave_flight(flight)
+            if created:
+                context.flight = flight
         elif created:
             # Adopt the worker-built spans (queue_wait, evaluate) into
             # the leader's request trace.  Safe: the worker attached them
@@ -633,6 +656,16 @@ class EvaluationServer:
 
     # -- worker side -------------------------------------------------------
 
+    def _hand_over(self, flight: _Flight, spans: list[Span]) -> None:
+        """Give the worker's spans to the flight's leader: to adopt, or,
+        when its trace was recorded already (it was answered 504), to
+        that recorded trace."""
+        with self._flights_lock:
+            flight.spans = spans
+            late = flight.late
+        if late is not None:
+            late.extend(span.snapshot() for span in spans)
+
     def _worker_loop(self) -> None:
         # Activate the server's registry in this thread: context vars do
         # not cross thread boundaries, so without this the engine/cache/
@@ -665,7 +698,7 @@ class EvaluationServer:
                 if expired:
                     self._counter("service.expired_skipped")
                     queue_wait.set(outcome="expired_skipped")
-                    flight.spans = [queue_wait]
+                    self._hand_over(flight, [queue_wait])
                     flight.error = DeadlineExpired("expired before execution")
                     flight.event.set()
                     continue
@@ -696,7 +729,7 @@ class EvaluationServer:
                     evaluate.duration = time.perf_counter() - evaluate.start
                     # Attach spans *before* event.set(): the leader reads
                     # them only after wait() returns.
-                    flight.spans = [queue_wait, evaluate]
+                    self._hand_over(flight, [queue_wait, evaluate])
                     with self._inflight_lock:
                         self._inflight -= 1
                         self.registry.gauge("service.inflight").set(

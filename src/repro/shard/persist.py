@@ -3,8 +3,8 @@
 The whole point of the cache stack — Lemma 1 multiplicativity makes
 α-equivalent components recur, so their counts, plans, and containment
 verdicts are highly reusable — is defeated every time a process dies
-with its caches.  This module gives the three α-keyed caches a durable
-tier: each entry is one small JSON file named by the SHA-256 digest of
+with its caches.  This module gives the three durable stores a tier on
+disk: each entry is one small JSON file named by the SHA-256 digest of
 its canonical content, exactly the addressing scheme
 :mod:`repro.qa.corpus` uses for fuzzing findings.  Content addressing
 makes writes idempotent (re-storing an entry rewrites the same file),
@@ -12,21 +12,22 @@ dedupes across snapshots for free, and turns corruption detection into
 a digest check.
 
 Keys survive the process boundary because every ingredient is already
-canonical: component queries travel through
-:func:`repro.homomorphism.cache.canonical_component` (α-equivalence
-classes), structure dependencies through content fingerprints
+canonical: components travel as their
+:class:`~repro.homomorphism.cache.ComponentKey` (a digest of the
+canonical form, its relation names and, when it pins anything, its
+atom pattern), structure dependencies as content fingerprints
 (:meth:`~repro.relational.structure.Structure.relation_fingerprint`,
-``hashlib``-based, never the salted ``hash``), and queries serialize
-via :mod:`repro.io`.  Compiled artifacts are closures and are *never*
-persisted — they rebuild on demand from the restored profiles.
+``blake2b``-based, never the salted ``hash``).  All three tiers share
+one encoding and one restore path; compiled artifacts are closures and
+are *never* persisted — they rebuild on demand.
 
 Restore mirrors ``qa/corpus.py``'s stance on malformed entries but
 inverts the failure mode: a corpus replay *raises* on a bad file (a
 finding must not silently vanish), while a cache restore *skips* it —
-a truncated, garbage, wrong-version, or digest-mismatched snapshot
-file costs one ``shard.snapshot.rejected`` tick, never a crash and
-never a wrong count (values only enter a cache after full decode +
-digest verification).
+a truncated, garbage, wrong-version (format 1 included), or
+digest-mismatched snapshot file costs one ``shard.snapshot.rejected``
+tick, never a crash and never a wrong count (values only enter a cache
+after full decode + digest verification).
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from repro.errors import BagCQError
-from repro.io import query_from_dict, query_to_dict
+from repro.homomorphism.cache import ComponentKey, key_scope
 from repro.obs import metrics as obs_metrics
-from repro.queries.cq import ConjunctiveQuery
+from repro.planner.analyze import ComponentProfile
 from repro.queries.terms import Constant, Variable
 
 __all__ = [
@@ -52,7 +53,9 @@ __all__ = [
 
 #: Format stamp carried by every entry; bump on incompatible layout
 #: changes so old snapshots are rejected (skipped), not misread.
-FORMAT_VERSION = 1
+#: Format 2 keys entries by :class:`ComponentKey` instead of whole
+#: canonical queries.
+FORMAT_VERSION = 2
 
 #: The three persisted tiers, each its own subdirectory of the root.
 TIERS = ("counts", "plans", "containment")
@@ -69,47 +72,117 @@ SNAPSHOT_COUNTERS = (
 _TUPLE_TAG = "§"
 _CONST_TAG = "§const"
 _VAR_TAG = "§var"
+_KEY_TAG = "§key"
+_PROFILE_TAG = "§profile"
+_PROFILE_FIELDS = (
+    "atom_count",
+    "variable_count",
+    "inequality_count",
+    "acyclic",
+    "treewidth_bound",
+)
 
 
 class SnapshotError(BagCQError):
     """A value that cannot be encoded for (or decoded from) a snapshot."""
 
 
-def _encode_value(value):
-    """JSON-encode one cache-key ingredient, reversibly.
+def _encode(value):
+    """JSON-encode one key or value, reversibly.
 
     Tuples are tagged (JSON arrays decode back to tuples only through
-    the tag), terms carry their kind; ``None``/bool/int/str pass
-    through.  Anything else is a key shape this format does not know —
-    the caller skips that entry rather than persisting a lossy form.
+    the tag), terms carry their kind, component keys and profiles their
+    fields; ``None``/bool/int/str pass through.  Anything else is a
+    shape this format does not know — the caller skips that entry rather
+    than persisting a lossy form.
     """
     if value is None or isinstance(value, (bool, int, str)):
         return value
     if isinstance(value, tuple):
-        return {_TUPLE_TAG: [_encode_value(item) for item in value]}
+        return {_TUPLE_TAG: [_encode(item) for item in value]}
     if isinstance(value, Constant):
         return {_CONST_TAG: value.name}
     if isinstance(value, Variable):
         return {_VAR_TAG: value.name}
+    if isinstance(value, ComponentKey):
+        return {
+            _KEY_TAG: [
+                value.digest.hex(),
+                list(value.relations),
+                _encode(value.pattern),
+            ]
+        }
+    if isinstance(value, ComponentProfile):
+        return {_PROFILE_TAG: [getattr(value, f) for f in _PROFILE_FIELDS]}
     raise SnapshotError(
         f"cannot persist value of type {type(value).__name__}: {value!r}"
     )
 
 
-def _decode_value(payload):
+def _decode(payload):
     if payload is None or isinstance(payload, (bool, int, str)):
         return payload
-    if isinstance(payload, dict):
-        if set(payload) == {_TUPLE_TAG}:
-            items = payload[_TUPLE_TAG]
-            if not isinstance(items, list):
-                raise SnapshotError("tuple payload must be a JSON array")
-            return tuple(_decode_value(item) for item in items)
-        if set(payload) == {_CONST_TAG}:
-            return Constant(payload[_CONST_TAG])
-        if set(payload) == {_VAR_TAG}:
-            return Variable(payload[_VAR_TAG])
+    if isinstance(payload, dict) and len(payload) == 1:
+        (tag, body), = payload.items()
+        if tag == _TUPLE_TAG and isinstance(body, list):
+            return tuple(_decode(item) for item in body)
+        if tag == _CONST_TAG and isinstance(body, str):
+            return Constant(body)
+        if tag == _VAR_TAG and isinstance(body, str):
+            return Variable(body)
+        if tag == _KEY_TAG:
+            digest, relations, pattern = body
+            _require(
+                all(isinstance(name, str) for name in relations),
+                "relation names must be strings",
+            )
+            key = ComponentKey(
+                bytes.fromhex(digest), tuple(relations), _decode(pattern)
+            )
+            _require(len(key.digest) == 16, "a key digest has 16 bytes")
+            return key
+        if tag == _PROFILE_TAG:
+            profile = ComponentProfile(*body)
+            _require(
+                all(isinstance(getattr(profile, f), int) for f in _PROFILE_FIELDS),
+                "profile fields must be integers",
+            )
+            return profile
     raise SnapshotError(f"unrecognized snapshot payload: {payload!r}")
+
+
+def _is_count(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+#: Per tier: does a decoded ``(key, value)`` have the tier's shape?  Keys
+#: of any other shape are never persisted, and files holding one are
+#: rejected on restore.
+_SHAPES = {
+    "counts": lambda key, value: (
+        isinstance(key, tuple)
+        and len(key) == 3
+        and isinstance(key[0], ComponentKey)
+        and isinstance(key[1], tuple)
+        and len(key[1]) == 3
+        and isinstance(key[2], str)
+        and _is_count(value)
+    ),
+    "plans": lambda key, value: (
+        isinstance(key, ComponentKey) and isinstance(value, ComponentProfile)
+    ),
+    "containment": lambda key, value: (
+        isinstance(key, tuple)
+        and len(key) == 3
+        and isinstance(key[0], ComponentKey)
+        and isinstance(key[1], ComponentKey)
+        and isinstance(key[2], str)
+        and isinstance(value, tuple)
+        and len(value) == 2
+        and isinstance(value[0], bool)
+        and (value[1] is None or _is_count(value[1]))
+    ),
+}
 
 
 def _entry_digest(entry: dict) -> str:
@@ -137,12 +210,17 @@ class RestoreReport:
 class DurableCacheStore:
     """One directory of content-addressed cache entries, three tiers deep.
 
-    Attach to the caches via their ``attach_durable`` hooks: stores
-    write through (one file per entry, idempotent), relation-scoped
-    invalidation deletes the affected count files, and
-    ``restore_*``/``save_*`` bulk-sync a cache with the disk.  All
-    disk I/O happens outside the caches' locks (the hooks are called
-    post-store), so the hot path never blocks on the filesystem.
+    Attach to the stores via their ``attach_durable`` hooks: every store
+    writes through (:meth:`record`, one file per entry, idempotent),
+    every relation-scoped invalidation deletes the affected files
+    (:meth:`invalidate`), and :meth:`save`/:meth:`restore` bulk-sync a
+    store with the disk.  All disk I/O happens outside the stores' locks
+    (the hooks are called post-store), so the hot path never blocks on
+    the filesystem.
+
+    Every entry carries its key's relation names and domain dependence,
+    so invalidation reads an in-memory index instead of re-decoding
+    files.
 
     Counter discipline: increments land in the registry handed to the
     constructor (the owning server's), falling back to the ambient
@@ -154,13 +232,12 @@ class DurableCacheStore:
         self._registry = registry
         self._suspended = False
         self._index_lock = threading.Lock()
-        #: digest → (relation names, depends-on-domain) for count entries
-        #: (``None`` for undecodable files, dropped on any invalidation);
-        #: lets ``/update`` invalidation delete files without re-decoding.
-        self._count_index: dict[str, tuple[frozenset, bool] | None] = {}
+        #: tier → digest → :func:`key_scope` of the entry (``None`` for
+        #: undecodable files, dropped on any invalidation).
+        self._index: dict[str, dict[str, tuple | None]] = {}
         for tier in TIERS:
             (self.root / tier).mkdir(parents=True, exist_ok=True)
-        self._scan_count_index()
+            self._index[tier] = self._scan(tier)
 
     # -- counters ----------------------------------------------------------
 
@@ -174,12 +251,46 @@ class DurableCacheStore:
 
     # -- file layer --------------------------------------------------------
 
-    def _tier_dir(self, tier: str) -> Path:
-        return self.root / tier
+    def _scan(self, tier: str) -> dict:
+        """The index of whatever is on disk already.
 
-    def _write_entry(self, tier: str, entry: dict) -> str:
+        Runs at construction (without counters: scanning is not a
+        restore) so invalidation covers entries written by an earlier
+        process even before any restore happened.
+        """
+        index = {}
+        for path in (self.root / tier).glob("*.json"):
+            try:
+                with path.open("r", encoding="utf-8") as handle:
+                    entry = json.load(handle)
+                index[path.stem] = (
+                    frozenset(entry["relations"]),
+                    bool(entry["domain_dependent"]),
+                )
+            except (OSError, ValueError, KeyError, TypeError):
+                # Undecodable files are conservatively indexed as
+                # depending on everything, so invalidation removes them.
+                index[path.stem] = None
+        return index
+
+    def _write(self, tier: str, key, value) -> bool:
+        """Persist one entry; False when its shape is not the tier's."""
+        scope = key_scope(key)
+        if scope is None or not _SHAPES[tier](key, value):
+            return False
+        try:
+            entry = {
+                "format": FORMAT_VERSION,
+                "tier": tier,
+                "key": _encode(key),
+                "value": _encode(value),
+                "relations": sorted(scope[0]),
+                "domain_dependent": scope[1],
+            }
+        except BagCQError:
+            return False
         digest = _entry_digest(entry)
-        path = self._tier_dir(tier) / f"{digest}.json"
+        path = self.root / tier / f"{digest}.json"
         if not path.exists():
             try:
                 path.write_text(
@@ -189,406 +300,106 @@ class DurableCacheStore:
             except OSError:
                 # A full or vanished disk degrades the durable tier to a
                 # no-op; it must never take the serving path down with it.
-                return digest
+                return True
             self._count("shard.snapshot.saved")
-        return digest
-
-    def _iter_entries(self, tier: str, rejected_paths: list | None = None):
-        """Yield ``(path, entry)`` for decodable files; count the rest.
-
-        The gate every entry passes before a cache sees it: valid JSON,
-        a JSON-object payload, the current format stamp, the right
-        tier, and a filename that matches the content digest (a
-        truncated or hand-edited file fails here).  Gate failures tick
-        ``shard.snapshot.rejected`` and, when the caller passes
-        ``rejected_paths``, land there so restore reports can include
-        them.
-        """
-        for path in sorted(self._tier_dir(tier).glob("*.json")):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-            except (OSError, ValueError):
-                entry = None
-            if (
-                not isinstance(entry, dict)
-                or entry.get("format") != FORMAT_VERSION
-                or entry.get("tier") != tier
-                or _entry_digest(entry) != path.stem
-            ):
-                self._count("shard.snapshot.rejected")
-                if rejected_paths is not None:
-                    rejected_paths.append(path)
-                continue
-            yield path, entry
-
-    def _suspend(self):
-        """Mute write-through while a restore replays entries into a cache
-        (the cache's store hook would otherwise rewrite every file it
-        just read)."""
-        store = self
-
-        class _Muted:
-            def __enter__(self):
-                store._suspended = True
-
-            def __exit__(self, *exc_info):
-                store._suspended = False
-
-        return _Muted()
-
-    # -- counts tier -------------------------------------------------------
-
-    def _encode_count_entry(self, key, value) -> dict | None:
-        """The counts-tier entry for one cache item, or ``None`` when the
-        key has a shape this format does not recognize (foreign keys are
-        simply not persisted — same conservatism as
-        :func:`~repro.homomorphism.cache.key_relations`)."""
-        from repro.homomorphism.cache import (
-            key_depends_on_domain,
-            key_relations,
-        )
-
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and isinstance(key[0], ConjunctiveQuery)
-            and isinstance(key[2], str)
-        ):
-            return None
-        relations = key_relations(key)
-        if relations is None:
-            return None
-        if not isinstance(value, int) or isinstance(value, bool):
-            return None
-        try:
-            fingerprint = _encode_value(key[1])
-            component = query_to_dict(key[0])
-        except BagCQError:
-            return None
-        return {
-            "format": FORMAT_VERSION,
-            "tier": "counts",
-            "component": component,
-            "fingerprint": fingerprint,
-            "engine": key[2],
-            "value": value,
-            "relations": sorted(relations),
-            "domain_dependent": key_depends_on_domain(key),
-        }
-
-    def _decode_count_entry(self, entry: dict) -> tuple[tuple, int]:
-        component = query_from_dict(entry["component"])
-        fingerprint = _decode_value(entry["fingerprint"])
-        engine = entry["engine"]
-        value = entry["value"]
-        _require(isinstance(engine, str), "'engine' must be a string")
-        _require(
-            isinstance(value, int) and not isinstance(value, bool),
-            "'value' must be an integer count",
-        )
-        _require(
-            isinstance(fingerprint, tuple) and len(fingerprint) == 4,
-            "'fingerprint' must decode to a 4-tuple",
-        )
-        return (component, fingerprint, engine), value
-
-    def record_count(self, key, value) -> None:
-        """Write-through hook: persist one freshly stored count."""
-        if self._suspended:
-            return
-        entry = self._encode_count_entry(key, value)
-        if entry is None:
-            return
-        digest = self._write_entry("counts", entry)
         with self._index_lock:
-            self._count_index[digest] = (
-                frozenset(entry["relations"]),
-                entry["domain_dependent"],
-            )
+            self._index[tier][digest] = scope
+        return True
 
-    def save_counts(self, cache) -> int:
-        """Persist every recognizable entry of a ``CountCache``."""
-        saved = 0
-        for key, value in cache.items():
-            entry = self._encode_count_entry(key, value)
-            if entry is None:
-                continue
-            digest = self._write_entry("counts", entry)
-            with self._index_lock:
-                self._count_index[digest] = (
-                    frozenset(entry["relations"]),
-                    entry["domain_dependent"],
-                )
-            saved += 1
-        return saved
+    def record(self, tier: str, key, value) -> None:
+        """Write-through hook: persist one freshly stored entry."""
+        if not self._suspended:
+            self._write(tier, key, value)
 
-    def restore_counts(self, cache) -> RestoreReport:
-        """Warm a ``CountCache`` from disk, skipping anything suspect."""
+    def save(self, tier: str, store) -> int:
+        """Persist every entry of ``store`` that has the tier's shape."""
+        return sum(self._write(tier, key, value) for key, value in store.items())
+
+    def restore(self, tier: str, store) -> RestoreReport:
+        """Warm ``store`` from disk, skipping anything suspect.
+
+        The gate every entry passes before a store sees it: valid JSON,
+        a JSON-object payload, the current format stamp, the right tier,
+        a filename that matches the content digest (a truncated or
+        hand-edited file fails here), and a key and value that decode to
+        the tier's shape.  Each failure ticks ``shard.snapshot.rejected``.
+        Restored entries skip probation: they were worth keeping once.
+        """
         loaded = 0
         rejected = 0
-        gate_rejects: list = []
-        with self._suspend():
-            for path, entry in self._iter_entries("counts", gate_rejects):
+        self._suspended = True
+        try:
+            for path in sorted((self.root / tier).glob("*.json")):
                 try:
-                    key, value = self._decode_count_entry(entry)
-                except (BagCQError, KeyError, TypeError, ValueError):
+                    with path.open("r", encoding="utf-8") as handle:
+                        entry = json.load(handle)
+                    _require(
+                        isinstance(entry, dict)
+                        and entry.get("format") == FORMAT_VERSION
+                        and entry.get("tier") == tier
+                        and _entry_digest(entry) == path.stem,
+                        "entry fails the format/tier/digest gate",
+                    )
+                    key, value = _decode(entry["key"]), _decode(entry["value"])
+                    _require(_SHAPES[tier](key, value), "not the tier's shape")
+                except (OSError, BagCQError, KeyError, TypeError, ValueError):
                     rejected += 1
                     continue
-                cache.store(key, value)
-                with self._index_lock:
-                    self._count_index[path.stem] = (
-                        frozenset(entry.get("relations", ())),
-                        bool(entry.get("domain_dependent", True)),
-                    )
+                store.store(key, value, admit=True)
                 loaded += 1
+        finally:
+            self._suspended = False
         self._count("shard.snapshot.loaded", loaded)
-        # Gate failures already ticked the counter inside _iter_entries.
         self._count("shard.snapshot.rejected", rejected)
-        return RestoreReport(loaded, rejected + len(gate_rejects))
+        return RestoreReport(loaded, rejected)
 
-    def _scan_count_index(self) -> None:
-        """Build the relations index from whatever is on disk already.
-
-        Runs at construction (without counters: scanning is not a
-        restore) so ``/update`` invalidation covers entries written by
-        an earlier process even before any restore happened.
-        """
-        for path in self._tier_dir("counts").glob("*.json"):
-            try:
-                with path.open("r", encoding="utf-8") as handle:
-                    entry = json.load(handle)
-                relations = frozenset(entry["relations"])
-                domain_dependent = bool(entry["domain_dependent"])
-            except (OSError, ValueError, KeyError, TypeError):
-                # Undecodable files are conservatively indexed as
-                # depending on everything, so invalidation removes them.
-                self._count_index[path.stem] = None
-                continue
-            self._count_index[path.stem] = (relations, domain_dependent)
-
-    def invalidate_relations(
-        self, relations, *, domain_changed: bool = False
-    ) -> int:
-        """Delete persisted counts depending on any of ``relations``.
-
-        The disk mirror of ``CountCache.invalidate_relations`` — called
-        by it, so a ``/update`` that evicts in-memory entries evicts
-        their files in the same breath.
-        """
-        touched = frozenset(relations)
+    def invalidate(self, tier: str, affected) -> int:
+        """Delete the tier's files whose scope is ``affected`` — the disk
+        mirror of :meth:`~repro.homomorphism.cache.SegmentedLRU.invalidate`,
+        which calls it, so an invalidation that evicts in-memory entries
+        evicts their files in the same breath."""
         with self._index_lock:
-            victims = [
-                digest
-                for digest, indexed in self._count_index.items()
-                if indexed is None  # undecodable: drop conservatively
-                or bool(indexed[0] & touched)
-                or (domain_changed and indexed[1])
-            ]
+            index = self._index[tier]
+            victims = [digest for digest, scope in index.items() if affected(scope)]
             for digest in victims:
-                self._count_index.pop(digest, None)
+                del index[digest]
         dropped = 0
         for digest in victims:
-            path = self._tier_dir("counts") / f"{digest}.json"
             try:
-                path.unlink()
+                (self.root / tier / f"{digest}.json").unlink()
                 dropped += 1
             except OSError:
                 continue
         self._count("shard.snapshot.invalidated", dropped)
         return dropped
 
-    # -- plans tier --------------------------------------------------------
-
-    def record_plan(self, component: ConjunctiveQuery, profile) -> None:
-        """Write-through hook: persist one freshly analyzed profile."""
-        if self._suspended:
-            return
-        try:
-            entry = {
-                "format": FORMAT_VERSION,
-                "tier": "plans",
-                "component": query_to_dict(component),
-                "profile": {
-                    "atom_count": profile.atom_count,
-                    "variable_count": profile.variable_count,
-                    "inequality_count": profile.inequality_count,
-                    "acyclic": profile.acyclic,
-                    "treewidth_bound": profile.treewidth_bound,
-                    "relations": [list(pair) for pair in profile.relations],
-                },
-            }
-        except BagCQError:
-            return
-        self._write_entry("plans", entry)
-
-    def save_plans(self, cache) -> int:
-        """Persist every profile of a ``PlanCache`` (artifacts never)."""
-        saved = 0
-        for component, profile in cache.profile_items():
-            self.record_plan(component, profile)
-            saved += 1
-        return saved
-
-    def restore_plans(self, cache) -> RestoreReport:
-        """Warm a ``PlanCache``'s profile level from disk."""
-        from repro.planner.analyze import ComponentProfile
-
-        loaded = 0
-        rejected = 0
-        gate_rejects: list = []
-        with self._suspend():
-            for _path, entry in self._iter_entries("plans", gate_rejects):
-                try:
-                    component = query_from_dict(entry["component"])
-                    raw = entry["profile"]
-                    profile = ComponentProfile(
-                        atom_count=int(raw["atom_count"]),
-                        variable_count=int(raw["variable_count"]),
-                        inequality_count=int(raw["inequality_count"]),
-                        acyclic=bool(raw["acyclic"]),
-                        treewidth_bound=int(raw["treewidth_bound"]),
-                        relations=tuple(
-                            (str(name), int(arity))
-                            for name, arity in raw["relations"]
-                        ),
-                    )
-                except (BagCQError, KeyError, TypeError, ValueError):
-                    rejected += 1
-                    continue
-                cache.store_profile(component, profile)
-                loaded += 1
-        self._count("shard.snapshot.loaded", loaded)
-        self._count("shard.snapshot.rejected", rejected)
-        return RestoreReport(loaded, rejected + len(gate_rejects))
-
-    # -- containment tier --------------------------------------------------
-
-    def record_containment(self, key, value) -> None:
-        """Write-through hook: persist one freshly decided verdict."""
-        if self._suspended:
-            return
-        if not (
-            isinstance(key, tuple)
-            and len(key) == 3
-            and isinstance(key[0], ConjunctiveQuery)
-            and isinstance(key[1], ConjunctiveQuery)
-            and isinstance(key[2], str)
-        ):
-            return
-        if not (
-            isinstance(value, tuple)
-            and len(value) == 2
-            and isinstance(value[0], bool)
-            and (value[1] is None or isinstance(value[1], int))
-        ):
-            return
-        try:
-            entry = {
-                "format": FORMAT_VERSION,
-                "tier": "containment",
-                "phi_s": query_to_dict(key[0]),
-                "phi_b": query_to_dict(key[1]),
-                "engine": key[2],
-                "contained": value[0],
-                "phi_s_count": value[1],
-            }
-        except BagCQError:
-            return
-        self._write_entry("containment", entry)
-
-    def save_containment(self, cache) -> int:
-        """Persist every verdict of a ``ContainmentCache``."""
-        saved = 0
-        for key, value in cache.items():
-            self.record_containment(key, value)
-            saved += 1
-        return saved
-
-    def restore_containment(self, cache) -> RestoreReport:
-        """Warm a ``ContainmentCache`` from disk."""
-        loaded = 0
-        rejected = 0
-        gate_rejects: list = []
-        with self._suspend():
-            for _path, entry in self._iter_entries(
-                "containment", gate_rejects
-            ):
-                try:
-                    phi_s = query_from_dict(entry["phi_s"])
-                    phi_b = query_from_dict(entry["phi_b"])
-                    engine = entry["engine"]
-                    contained = entry["contained"]
-                    phi_s_count = entry["phi_s_count"]
-                    _require(isinstance(engine, str), "bad engine")
-                    _require(isinstance(contained, bool), "bad verdict")
-                    _require(
-                        phi_s_count is None
-                        or (
-                            isinstance(phi_s_count, int)
-                            and not isinstance(phi_s_count, bool)
-                        ),
-                        "bad phi_s_count",
-                    )
-                except (BagCQError, KeyError, TypeError, ValueError):
-                    rejected += 1
-                    continue
-                cache.store((phi_s, phi_b, engine), (contained, phi_s_count))
-                loaded += 1
-        self._count("shard.snapshot.loaded", loaded)
-        self._count("shard.snapshot.rejected", rejected)
-        return RestoreReport(loaded, rejected + len(gate_rejects))
-
-    def invalidate_containment_relations(self, relations) -> int:
-        """Delete persisted verdicts mentioning any of ``relations``.
-
-        The disk mirror of ``ContainmentCache.invalidate_relations``
-        (schema-level changes only; database deltas never stale a
-        verdict).  Files must be decoded to know their relations —
-        acceptable, since schema redefinition is rare and offline.
-        """
-        touched = frozenset(relations)
-        dropped = 0
-        for path, entry in list(self._iter_entries("containment")):
-            try:
-                phi_s = query_from_dict(entry["phi_s"])
-                phi_b = query_from_dict(entry["phi_b"])
-                mentioned = {atom.relation for atom in phi_s.atoms}
-                mentioned.update(atom.relation for atom in phi_b.atoms)
-                affected = bool(mentioned & touched)
-            except (BagCQError, KeyError, TypeError, ValueError):
-                affected = True
-            if affected:
-                try:
-                    path.unlink()
-                    dropped += 1
-                except OSError:
-                    continue
-        self._count("shard.snapshot.invalidated", dropped)
-        return dropped
-
     # -- whole-store operations --------------------------------------------
 
-    def save_all(self, count_cache, plan_cache, containment_cache) -> dict:
-        """Persist all three caches; the ``/snapshot`` response body."""
+    @staticmethod
+    def _stores(count_cache, plan_cache, containment_cache) -> dict:
         return {
-            "counts": self.save_counts(count_cache),
-            "plans": self.save_plans(plan_cache),
-            "containment": self.save_containment(containment_cache),
+            "counts": count_cache,
+            "plans": plan_cache.profiles,
+            "containment": containment_cache,
         }
 
+    def save_all(self, count_cache, plan_cache, containment_cache) -> dict:
+        """Persist all three stores; the ``/snapshot`` response body."""
+        stores = self._stores(count_cache, plan_cache, containment_cache)
+        return {tier: self.save(tier, store) for tier, store in stores.items()}
+
     def restore_all(self, count_cache, plan_cache, containment_cache) -> dict:
-        """Warm all three caches; the startup warm-restore report."""
+        """Warm all three stores; the startup warm-restore report."""
+        stores = self._stores(count_cache, plan_cache, containment_cache)
         return {
-            "counts": self.restore_counts(count_cache).to_dict(),
-            "plans": self.restore_plans(plan_cache).to_dict(),
-            "containment": self.restore_containment(containment_cache).to_dict(),
+            tier: self.restore(tier, store).to_dict()
+            for tier, store in stores.items()
         }
 
     def stats(self) -> dict:
         """Files per tier (the ``/healthz`` surface of the store)."""
         return {
-            tier: sum(1 for _ in self._tier_dir(tier).glob("*.json"))
+            tier: sum(1 for _ in (self.root / tier).glob("*.json"))
             for tier in TIERS
         }
 

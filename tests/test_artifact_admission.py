@@ -98,7 +98,7 @@ class TestScanResistance:
         )
         assert hit
         assert artifact.run() == count_homomorphisms(TRIANGLE, structure)
-        stats = plan_cache.compiled_stats()
+        stats = plan_cache.artifacts.stats()
         assert stats["entries"] == 1 + COMPILED_PROBATION
         assert stats["probation"] == COMPILED_PROBATION
         assert stats["misses"] == 301
@@ -116,7 +116,7 @@ class TestScanResistance:
         for _ in range(300):
             plan_cache.compiled_artifact(ONE_SHOT, _fresh_structure(), build)
         gc.collect()
-        assert plan_cache.compiled_stats()["entries"] <= COMPILED_PROBATION
+        assert plan_cache.artifacts.stats()["entries"] <= COMPILED_PROBATION
         evicted = built[:-COMPILED_PROBATION]
         assert all(ref() is None for ref in evicted)
         assert all(ref() is not None for ref in built[-COMPILED_PROBATION:])
@@ -141,7 +141,7 @@ class TestReuseAdmits:
         plan_cache = PlanCache()
         structure = _random_graph(1)
         plan_cache.compiled_artifact(TRIANGLE, structure, compile_component)
-        assert plan_cache.compiled_stats()["probation"] == 1
+        assert plan_cache.artifacts.stats()["probation"] == 1
         with observe() as observation:
             _, hit = plan_cache.compiled_artifact(
                 TRIANGLE, structure, compile_component
@@ -151,26 +151,26 @@ class TestReuseAdmits:
         assert hit
         assert metrics["plan.compile.cache_hits"]["value"] == 2
         assert metrics["plan.compile.promotions"]["value"] == 1
-        stats = plan_cache.compiled_stats()
+        stats = plan_cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (1, 0)
 
     def test_promote_compiled_moves_only_probation_entries(self):
         plan_cache = PlanCache()
         structure = _random_graph(2)
         plan_cache.compiled_artifact(TRIANGLE, structure, compile_component)
-        (key, _), = plan_cache.compiled_items()
-        assert plan_cache.promote_compiled(key)
-        assert not plan_cache.promote_compiled(key)  # already in main
-        assert not plan_cache.promote_compiled(("unknown", None))
-        assert plan_cache.compiled_stats()["probation"] == 0
+        (key, _), = plan_cache.artifacts.items()
+        assert plan_cache.artifacts.promote(key)
+        assert not plan_cache.artifacts.promote(key)  # already in main
+        assert not plan_cache.artifacts.promote(("unknown", None))
+        assert plan_cache.artifacts.stats()["probation"] == 0
 
     def test_store_compiled_skips_probation(self):
         plan_cache = PlanCache()
         structure = _random_graph(3)
         plan_cache.compiled_artifact(TRIANGLE, structure, compile_component)
-        (key, artifact), = plan_cache.compiled_items()
-        plan_cache.store_compiled(key, artifact)
-        stats = plan_cache.compiled_stats()
+        (key, artifact), = plan_cache.artifacts.items()
+        plan_cache.artifacts.store(key, artifact, admit=True)
+        stats = plan_cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (1, 0)
 
     def test_compiled_count_hit_promotes_the_artifact(
@@ -180,7 +180,7 @@ class TestReuseAdmits:
         cache = CountCache()
         expected = count(TRIANGLE, structure, engine="backtracking")
         assert count(TRIANGLE, structure, engine="compiled", cache=cache) == expected
-        assert clean_default_plan_cache.compiled_stats()["probation"] == 1
+        assert clean_default_plan_cache.artifacts.stats()["probation"] == 1
         with observe() as observation:
             assert (
                 count(TRIANGLE, structure, engine="compiled", cache=cache)
@@ -189,7 +189,7 @@ class TestReuseAdmits:
         metrics = observation.report()["metrics"]
         assert metrics["cache.hits"]["value"] == 1
         assert metrics["plan.compile.promotions"]["value"] == 1
-        stats = clean_default_plan_cache.compiled_stats()
+        stats = clean_default_plan_cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (1, 0)
 
     def test_other_engines_count_hits_promote_nothing(
@@ -200,7 +200,7 @@ class TestReuseAdmits:
         cache = CountCache()
         for _ in range(2):
             count(TRIANGLE, structure, engine="backtracking", cache=cache)
-        assert clean_default_plan_cache.compiled_stats()["probation"] == 1
+        assert clean_default_plan_cache.artifacts.stats()["probation"] == 1
 
 
 class TestBothSegments:
@@ -211,31 +211,31 @@ class TestBothSegments:
         for _ in range(2):
             plan_cache.compiled_artifact(TRIANGLE, reused, compile_component)
         plan_cache.compiled_artifact(TRIANGLE, waiting, compile_component)
-        stats = plan_cache.compiled_stats()
+        stats = plan_cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (2, 1)
         return plan_cache
 
     def test_items_list_both_segments(self):
         plan_cache = self._filled()
-        assert len(plan_cache.compiled_items()) == 2
+        assert len(plan_cache.artifacts.items()) == 2
 
     def test_discard_reaches_probation(self):
         plan_cache = self._filled()
-        for key, _ in plan_cache.compiled_items():
-            assert plan_cache.compiled_discard(key)
-            assert not plan_cache.compiled_discard(key)
-        assert plan_cache.compiled_stats()["entries"] == 0
+        for key, _ in plan_cache.artifacts.items():
+            assert plan_cache.artifacts.discard(key)
+            assert not plan_cache.artifacts.discard(key)
+        assert plan_cache.artifacts.stats()["entries"] == 0
 
     def test_invalidation_reaches_probation(self):
         plan_cache = self._filled()
         assert plan_cache.invalidate_relations({"F"}) == 0
         assert plan_cache.invalidate_relations({"E"}) == 2
-        assert plan_cache.compiled_stats()["entries"] == 0
+        assert plan_cache.artifacts.stats()["entries"] == 0
 
     def test_clear_empties_both(self):
         plan_cache = self._filled()
         plan_cache.clear()
-        stats = plan_cache.compiled_stats()
+        stats = plan_cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (0, 0)
 
     def test_healthz_occupancy_shows_probation(self):

@@ -1,11 +1,14 @@
 """Concurrent hammering of the shared caches the service relies on.
 
-``EvaluationServer`` shares one :class:`CountCache` and the process-wide
-:class:`PlanCache` across all worker threads, so both must tolerate
-arbitrary interleavings.  These tests hammer them from many threads and
+``EvaluationServer`` shares one :class:`CountCache`, the process-wide
+containment cache and the :class:`PlanCache`'s profile and artifact
+stores across all worker threads — four instances of the one
+:class:`SegmentedLRU` core — so all must tolerate arbitrary
+interleavings.  These tests hammer each of them from many threads and
 check the invariants the service depends on:
 
-* **no lost updates** — every stored entry is retrievable afterwards;
+* **no lost updates** — every stored and reused entry is retrievable
+  afterwards;
 * **no over-eviction** — the cache never holds more than its capacity,
   and never evicts below it while hot keys are being touched;
 * **accounting closes** — hits + misses equals the number of lookups
@@ -18,13 +21,18 @@ check the invariants the service depends on:
 from __future__ import annotations
 
 import random
+import sys
 import threading
 
 import pytest
 
 from repro.containment_set import ContainmentCache
 from repro.homomorphism import count
-from repro.homomorphism.cache import CountCache, component_cache_key
+from repro.homomorphism.cache import (
+    CountCache,
+    SegmentedLRU,
+    component_cache_key,
+)
 from repro.planner.analyze import PlanCache, analyze_component
 from repro.queries import parse_query
 from repro.relational import Schema, Structure
@@ -58,68 +66,57 @@ def _run_threads(target, count_: int = THREADS, args_for=None):
     return threads
 
 
-def _count_lru(capacity):
-    cache = CountCache(max_entries=capacity)
-
-    def touch(key):
-        if cache.lookup(key) is None:
-            cache.store(key, 1)
-
-    return touch, cache.__len__
-
-
-def _containment_lru(capacity):
-    cache = ContainmentCache(max_entries=capacity)
-
-    def touch(key):
-        if cache.lookup(key) is None:
-            cache.store(key, (True, None))
-
-    return touch, cache.__len__
-
-
-def _plan_profile_lru(capacity):
-    cache = PlanCache(max_entries=capacity)
-    return (lambda key: cache.store_profile(key, None)), cache.__len__
-
-
-def _plan_artifact_lru(capacity):
-    cache = PlanCache(compiled_entries=capacity)
-    return (
-        lambda key: cache.store_compiled(key, None),
-        lambda: cache.compiled_stats()["entries"],
-    )
-
-
-#: ``(touch(key), size())`` of every LRU the server's threads share.
-LRUS = {
-    "count": _count_lru,
-    "containment": _containment_lru,
-    "plan-profiles": _plan_profile_lru,
-    "plan-artifacts": _plan_artifact_lru,
+#: Every store the server's threads share, each an instance of the one
+#: cache core, by the capacity it is built with.
+STORES = {
+    "count": lambda capacity: CountCache(max_entries=capacity),
+    "containment": lambda capacity: ContainmentCache(max_entries=capacity),
+    "plan-profiles": lambda capacity: PlanCache(max_entries=capacity).profiles,
+    "plan-artifacts": lambda capacity: PlanCache(
+        compiled_entries=capacity
+    ).artifacts,
 }
+
+
+def _touch(store):
+    """A reader: look the key up, and store it on a miss."""
+
+    def touch(key):
+        if store.lookup(key) is None:
+            store.store(key, 1)
+
+    return touch
+
+
+@pytest.mark.parametrize("name", list(STORES))
+def test_every_store_is_the_one_core(name):
+    assert isinstance(STORES[name](8), SegmentedLRU)
 
 
 class TestCountCacheConcurrency:
     def test_no_lost_updates(self):
-        """With capacity >= total keys, every stored value survives."""
-        cache = CountCache(max_entries=THREADS * 200)
+        """With capacity >= total keys, every stored and reused value
+        survives in every store (a store alone only reaches probation)."""
+        for name, make in STORES.items():
+            cache = make(THREADS * 200)
 
-        def writer(index):
-            for i in range(200):
-                cache.store(("k", index, i), index * 1000 + i)
+            def writer(index):
+                for i in range(200):
+                    cache.store(("k", index, i), index * 1000 + i)
+                    cache.promote(("k", index, i))
 
-        _run_threads(writer)
-        assert len(cache) == THREADS * 200
-        for index in range(THREADS):
-            for i in range(200):
-                assert cache.lookup(("k", index, i)) == index * 1000 + i
+            _run_threads(writer)
+            assert len(cache) == THREADS * 200, name
+            for index in range(THREADS):
+                for i in range(200):
+                    assert cache.lookup(("k", index, i)) == index * 1000 + i
 
-    @pytest.mark.parametrize("lru", list(LRUS))
-    def test_no_over_eviction(self, lru):
-        """Under churn the LRU never exceeds capacity and stays warm."""
+    @pytest.mark.parametrize("name", list(STORES))
+    def test_no_over_eviction(self, name):
+        """Under churn the store never exceeds capacity and stays warm."""
         capacity = 64
-        touch, size = LRUS[lru](capacity)
+        cache = STORES[name](capacity)
+        touch = _touch(cache)
         stop = threading.Event()
         # Peak and sample count only: a list of every sample grows by
         # millions of entries in a second.
@@ -127,7 +124,7 @@ class TestCountCacheConcurrency:
 
         def sampler():
             while not stop.is_set():
-                observed["peak"] = max(observed["peak"], size())
+                observed["peak"] = max(observed["peak"], len(cache))
                 observed["samples"] += 1
 
         watcher = threading.Thread(target=sampler)
@@ -147,23 +144,35 @@ class TestCountCacheConcurrency:
         assert observed["peak"] <= capacity
         # After thousands of stores against 4x capacity of keys, the
         # cache should be full, not over-evicted down to a sliver.
-        assert size() == capacity
+        assert len(cache) == capacity
 
     def test_accounting_closes_under_contention(self):
-        cache = CountCache(max_entries=1024)
+        """In every store, hits + misses equals the lookups issued, with
+        thread switches forced far more often than by default."""
         lookups_per_thread = 3000
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for name, make in STORES.items():
+                cache = make(1024)
 
-        def mixed(index):
-            rng = random.Random(index)
-            for _ in range(lookups_per_thread):
-                key = ("acct", rng.randrange(256))
-                if cache.lookup(key) is None:
-                    cache.store(key, 1)
+                def mixed(index):
+                    rng = random.Random(index)
+                    for _ in range(lookups_per_thread):
+                        key = ("acct", rng.randrange(256))
+                        if cache.lookup(key) is None:
+                            cache.store(key, 1)
+                            cache.promote(key)
 
-        _run_threads(mixed)
-        stats = cache.stats()
-        assert stats["hits"] + stats["misses"] == THREADS * lookups_per_thread
-        assert stats["evictions"] == 0
+                _run_threads(mixed)
+                stats = cache.stats()
+                assert (
+                    stats["hits"] + stats["misses"]
+                    == THREADS * lookups_per_thread
+                ), name
+                assert stats["evictions"] == 0, name
+        finally:
+            sys.setswitchinterval(interval)
 
     def test_counts_bit_identical_to_serial(self):
         """N threads × shared cache == serial run × fresh cache, exactly."""

@@ -273,8 +273,8 @@ class TestCompiledArtifacts:
         )
         assert not first_hit
         assert second_hit  # canonical keying: one build for the α-class
-        assert cache.compiled_stats()["misses"] == 1
-        assert cache.compiled_stats()["hits"] == 1
+        assert cache.artifacts.stats()["misses"] == 1
+        assert cache.artifacts.stats()["hits"] == 1
 
     def test_artifact_reuse_visible_in_counters(self, edge_schema):
         structure = Structure(edge_schema, {"E": [(0, 1), (1, 2)]})

@@ -93,7 +93,7 @@ def Deadline(seconds: float):
 
 
 def _artifact_keys() -> set:
-    return {key for key, _ in default_plan_cache().compiled_items()}
+    return {key for key, _ in default_plan_cache().artifacts.items()}
 
 
 def _stopped_within(seconds: float, thunk) -> float:
@@ -125,7 +125,7 @@ class TestEngines:
         assert elapsed < 2 * DEADLINE_S + 0.05
         # Nothing of the stopped count is kept: no count, no artifact.
         assert len(cache) == 0
-        assert default_plan_cache().compiled_stats()["entries"] == 0
+        assert default_plan_cache().artifacts.stats()["entries"] == 0
 
     @pytest.mark.parametrize("engine", ["acyclic", "compiled"])
     def test_yannakakis_checks_every_pass(self, engine):
@@ -147,14 +147,14 @@ class TestEngines:
         assert not hit
         again, hit = cache.compiled_artifact(PATH, SMALL, compile_component)
         assert hit and again is artifact  # reused: now in the main LRU
-        assert not cache.discard_probation(artifact)
-        assert cache.compiled_stats()["entries"] == 1
+        assert not cache.artifacts.discard_probation(artifact)
+        assert cache.artifacts.stats()["entries"] == 1
         # A first build waits in probation, and leaves it when stopped.
         fresh, hit = cache.compiled_artifact(PATH, DENSE, compile_component)
         assert not hit
-        assert cache.compiled_stats()["probation"] == 1
-        assert cache.discard_probation(fresh)
-        stats = cache.compiled_stats()
+        assert cache.artifacts.stats()["probation"] == 1
+        assert cache.artifacts.discard_probation(fresh)
+        stats = cache.artifacts.stats()
         assert (stats["entries"], stats["probation"]) == (1, 0)
 
 
@@ -409,6 +409,89 @@ class TestService:
             idle_after = _wait_for(lambda: client.healthz()["inflight"] == 0)
             assert idle_after < 0.4
             assert _metric(server, "service.cancelled") == 1
+
+    @pytest.mark.parametrize("finished", [True, False])
+    def test_decide_leaves_the_shared_count_cache_alone(self, finished):
+        """A search counts through a request-local cache, finished or
+        cancelled at its deadline: the shared store neither gains its
+        one-shot entries nor sees its lookups."""
+        with EvaluationServer(ServerConfig(workers=1)) as server:
+            client = ServiceClient(server.url, retries=0)
+            client.evaluate(PATH, SMALL)
+            before = server.count_cache.stats()
+            triangle = "E(x, y) & E(y, z) & E(z, x)"
+            three_path = "E(x, y) & E(y, z) & E(z, w)"
+            if finished:
+                # Every triangle is a closed 3-path: bag-contained, so
+                # the search checks all 100 candidates.
+                outcome = client.decide(triangle, three_path, count=100)
+                assert outcome["verdict"] == "exhausted"
+                assert outcome["checked"] == 100
+            else:
+                with pytest.raises(DeadlineExceeded):
+                    client.decide(
+                        triangle, three_path, count=10**9, deadline_ms=200
+                    )
+                _wait_for(lambda: client.healthz()["inflight"] == 0)
+                assert _metric(server, "service.cancelled") == 1
+            after = server.count_cache.stats()
+            for field in ("entries", "probation", "hits", "misses"):
+                assert after[field] == before[field], field
+
+    def test_504_leader_trace_gets_the_worker_spans(self, gate):
+        """The leader is answered 504 while a later waiter keeps the
+        flight running; once the worker ends it, the leader's recorded
+        trace shows ``queue_wait`` and the cancelled ``evaluate``."""
+        held = gate("evaluate")
+        with EvaluationServer(ServerConfig(workers=1)) as server:
+            leader = ServiceClient(server.url, retries=0)
+            follower = ServiceClient(server.url, retries=0)
+            outcomes: dict = {}
+
+            def fire(name, client, deadline_ms):
+                try:
+                    client.evaluate(PATH, SMALL, deadline_ms=deadline_ms)
+                    outcomes[name] = "ok"
+                except DeadlineExceeded as error:
+                    outcomes[name] = error.status
+
+            first = threading.Thread(
+                target=fire, args=("leader", leader, 300)
+            )
+            first.start()
+            assert held.entered.wait(timeout=10)
+            second = threading.Thread(
+                target=fire, args=("follower", follower, 900)
+            )
+            second.start()
+            first.join(timeout=10)
+            assert outcomes == {"leader": 504}
+            assert server.health()["inflight"] == 1  # still counting
+
+            def leader_spans() -> list:
+                (entry,) = [
+                    trace
+                    for trace in leader.traces()["traces"]
+                    if trace["trace_id"] == leader.trace_id
+                ]
+                assert entry["status"] == "deadline_exceeded"
+                return entry["spans"]["children"]
+
+            assert [span["name"] for span in leader_spans()] == [
+                "admission",
+                "wait",
+            ]
+            second.join(timeout=10)
+            assert outcomes == {"leader": 504, "follower": 504}
+            _wait_for(lambda: server.health()["inflight"] == 0)
+            spans = leader_spans()
+            assert [span["name"] for span in spans] == [
+                "admission",
+                "wait",
+                "queue_wait",
+                "evaluate",
+            ]
+            assert spans[-1]["attrs"]["outcome"] == "cancelled"
 
     def test_decide_domain_size_is_capped(self):
         with EvaluationServer(ServerConfig(workers=1)) as server:

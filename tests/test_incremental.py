@@ -299,6 +299,57 @@ class TestDeltaEvaluator:
         assert report.invalidated >= 1
         assert evaluator.evaluate(query) == 3
 
+    def test_key_pattern_proves_what_the_query_proves(self):
+        """Migration reads the entry's ComponentKey, not the query: for
+        every delta, the key's verdict equals the query's."""
+        from repro.homomorphism.cache import component_fingerprint, component_key
+
+        base = _graph(
+            {(0, 0), (0, 1), (2, 2)}, n=4, extra={"F": {(0, 1), (1, 1)}}
+        ).with_constant("c", 0)
+        queries = [
+            parse_query(text)
+            for text in (
+                "E(x, x)",
+                "E(x, y) & E(y, y)",
+                "F(#c, x) & E(x, x)",
+                "F(x, x) & E(x, y)",
+                "E(x, y) & E(y, z)",
+            )
+        ]
+        rng = random.Random(7)
+        for _ in range(60):
+            relation = rng.choice(["E", "F"])
+            fact = (rng.randrange(4), rng.randrange(4))
+            delta = (
+                Delta(inserts=[(relation, fact)])
+                if rng.random() < 0.5
+                else Delta(deletes=[(relation, fact)])
+            )
+            new = base.apply_delta(delta)
+            for query in queries:
+                fingerprint = component_fingerprint(query, base)
+                assert delta_affects(
+                    component_key(query),
+                    delta,
+                    base,
+                    new,
+                    fingerprint[2] is not None,
+                ) == delta_affects(query, delta, base, new), (query, delta)
+
+    def test_noop_delta_keeps_the_entry(self):
+        """A delta that changes no fact keeps the fingerprint, so the
+        entry it migrates stays where it is and still hits."""
+        evaluator = DeltaEvaluator(_graph({(0, 1), (1, 1)}, n=3))
+        query = parse_query("E(x, x)")
+        assert evaluator.evaluate(query) == 1
+        report = evaluator.apply(Delta(inserts=[("E", (1, 1))]))
+        assert (report.migrated, report.invalidated) == (1, 0)
+        assert len(evaluator.cache) == 1
+        hits = evaluator.cache.hits
+        assert evaluator.evaluate(query) == 1
+        assert evaluator.cache.hits == hits + 1
+
     def test_lemma1_factors_are_reused_across_versions(self):
         facts = {
             f"R{i}": {(j, (j + 1) % 5) for j in range(5)} for i in range(3)

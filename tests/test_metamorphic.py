@@ -260,3 +260,80 @@ def test_union_widening_is_monotone():
         assert ucq_contained(union, union)
         # Widening the right side never flips a positive verdict.
         assert ucq_contained([query], union + [cycle_query(3)])
+
+
+# -- component keys under atom shuffling ----------------------------------
+
+#: The seeded qa corpus the shuffle test walks: cases of these seeds.
+SHUFFLE_SEEDS = (0, 1, 2)
+SHUFFLE_CASES = 300
+SHUFFLE_COPIES = 4
+
+#: Share of α-renamed, atom-shuffled copies whose ComponentKey differs
+#: from the original's, measured on the corpus above (EXPERIMENTS E28):
+#: 1-WL refinement with stored-order tie-breaking is incomplete, so this
+#: is a regression bound, not a law.  Symmetric shapes miss far more
+#: often (a directed 6-cycle: 0.8).
+SHUFFLE_MISS_BOUND = 0.0
+
+
+def _shuffled_copy(query: ConjunctiveQuery, rng: random.Random):
+    """An α-renamed copy of ``query`` with atoms and inequalities shuffled."""
+    names = sorted(query.variables, key=lambda variable: variable.name)
+    fresh = [Variable(f"s{index}") for index in range(len(names))]
+    rng.shuffle(fresh)
+    renamed = query.rename(dict(zip(names, fresh)))
+    atoms, inequalities = list(renamed.atoms), list(renamed.inequalities)
+    rng.shuffle(atoms)
+    rng.shuffle(inequalities)
+    return ConjunctiveQuery(atoms, inequalities)
+
+
+def _outcome(query: ConjunctiveQuery, structure: Structure):
+    """The count, or the error class a count raises."""
+    try:
+        return count(query, structure, engine="backtracking")
+    except Exception as error:  # noqa: BLE001 — compared, not hidden
+        return type(error).__name__
+
+
+def test_component_key_under_atom_shuffling():
+    """Equal keys always mean equal counts; the share of shuffled copies
+    that get a different key stays at its measured bound."""
+    from repro.homomorphism.cache import component_key
+    from repro.qa.generators import case_at
+
+    rng = random.Random(28)
+    groups: dict = {}
+    copies = differ = 0
+    for seed in SHUFFLE_SEEDS:
+        for index in range(SHUFFLE_CASES):
+            case = case_at(index, seed)
+            if case.query is None:
+                continue
+            for component in case.query.connected_components():
+                key = component_key(component)
+                groups.setdefault(key, [component])
+                for _ in range(SHUFFLE_COPIES):
+                    copy = _shuffled_copy(component, rng)
+                    copies += 1
+                    other = component_key(copy)
+                    differ += other != key
+                    members = groups.setdefault(other, [copy])
+                    if len(members) < 3 and copy not in members:
+                        members.append(copy)
+    structures = [
+        case.structure
+        for case in (case_at(index, 99) for index in range(12))
+        if case.structure is not None
+    ][:4]
+    for members in groups.values():
+        for structure in structures:
+            expected = _outcome(members[0], structure)
+            for other in members[1:]:
+                assert _outcome(other, structure) == expected, (
+                    members[0],
+                    other,
+                )
+    assert copies > 5000
+    assert differ / copies <= SHUFFLE_MISS_BOUND

@@ -28,6 +28,7 @@ from repro.planner import (
     analyze_component,
     eligible_engines,
     estimate_cost,
+    estimate_visits,
     get_constants,
     greedy_treewidth_bound,
     plan,
@@ -87,7 +88,6 @@ class TestAnalyzeComponent:
         assert profile.inequality_count == 0
         assert profile.acyclic
         assert profile.treewidth_bound == 1
-        assert profile.relations == (("E", 2),) * 3
 
     def test_cycle_is_gyo_cyclic(self):
         profile = analyze_component(cycle_query(3))
@@ -104,8 +104,22 @@ class TestAnalyzeComponent:
         assert profile.treewidth_bound == 2
 
     def test_relations_keep_duplicates(self):
-        profile = analyze_component(parse_query("E(x, y) & E(y, x)"))
-        assert profile.relations == (("E", 2), ("E", 2))
+        # The profile keeps no per-atom relation list: the cost model
+        # reads the component it prices, one fact scan per atom, so a
+        # relation repeated across atoms is scanned twice.
+        query = parse_query("E(x, y) & E(y, x)")
+        structure = Structure(
+            Schema.from_arities({"E": 2}), {"E": [(0, 1), (1, 2), (2, 0)]}
+        )
+        constants = get_constants()
+        visits = estimate_visits(
+            "acyclic", query, analyze_component(query), structure
+        )
+        assert visits == (
+            constants.acyclic_base
+            + constants.acyclic_per_fact * 2 * 3
+            + constants.acyclic_per_atom * 2
+        )
 
 
 class TestPlanCache:
@@ -140,9 +154,13 @@ class TestPlanCache:
         cache.profile(path_query(2))
         assert cache.stats() == {
             "entries": 1,
+            "probation": 0,
             "max_entries": cache.max_entries,
             "hits": 1,
             "misses": 1,
+            "promotions": 0,
+            "evictions": 0,
+            "hit_rate": 0.5,
         }
 
     def test_rejects_bad_capacity(self):
@@ -248,13 +266,14 @@ class TestSelection:
         query = cycle_query(12)
         profile = analyze_component(query)
         for engine in ("backtracking", "treewidth", "acyclic"):
-            cost = estimate_cost(engine, profile, dense)
+            cost = estimate_cost(engine, query, profile, dense)
             assert 0 < cost <= 1e18
 
     def test_unknown_engine_rejected(self, dense):
-        profile = analyze_component(path_query(2))
+        query = path_query(2)
+        profile = analyze_component(query)
         with pytest.raises(ValueError, match="no cost model"):
-            estimate_cost("quantum", profile, dense)
+            estimate_cost("quantum", query, profile, dense)
 
 
 class TestPlan:

@@ -6,7 +6,9 @@ liveness and entry counts — never RSS:
 
 * a query object is canonicalized (1-WL refined) at most once, however
   many layers key on it;
-* the planner cache holds no reference to a caller's query or structure;
+* the planner cache holds no reference to a caller's query or structure,
+  and no store holds a ``ConjunctiveQuery`` at all: every key is built
+  on a 16-byte :class:`~repro.homomorphism.cache.ComponentKey`;
 * delta evaluation leaves one compiled artifact per live component, not
   one per version;
 * compiled artifacts reference the structure's fact tuples instead of
@@ -267,7 +269,61 @@ class TestPlanCachePinsNothing:
         assert query_ref() is None
         assert structure_ref() is None
         assert len(plan_cache) == 1
-        assert plan_cache.compiled_stats()["entries"] == 1
+        assert plan_cache.artifacts.stats()["entries"] == 1
+
+
+def _holds_query(value) -> bool:
+    """Is a ``ConjunctiveQuery`` anywhere inside a key or value?"""
+    from repro.homomorphism.cache import ComponentKey
+
+    if isinstance(value, ConjunctiveQuery):
+        return True
+    if isinstance(value, ComponentKey):
+        return _holds_query(value.relations) or _holds_query(value.pattern)
+    if isinstance(value, (tuple, list, frozenset, set)):
+        return any(_holds_query(item) for item in value)
+    return False
+
+
+class TestNoStoreHoldsAQuery:
+    def test_every_store_keys_on_component_keys(self, clean_default_plan_cache):
+        from repro.containment_set import ContainmentCache, cq_containment
+
+        structure = _random_graph(4)
+        queries = [
+            parse_query("E(a, b) & E(b, c) & E(c, a)"),
+            parse_query("E(a, a) & E(a, b) & E(c, c)"),
+            parse_query("E(a, #k) & E(#k, b)"),
+        ]
+        structure = Structure(
+            structure.schema,
+            {"E": structure.facts("E")},
+            domain=structure.domain,
+            constants={"k": 0},
+        )
+        counts = CountCache()
+        for query in queries:
+            for engine in ("auto", "compiled", "backtracking"):
+                count(query, structure, engine=engine, cache=counts)
+        verdicts = ContainmentCache()
+        cq_containment(
+            queries[0], parse_query("E(x, y)"), cache=verdicts, count_cache=counts
+        )
+        evaluator = DeltaEvaluator(structure, engine="compiled", cache=counts)
+        evaluator.evaluate(queries[2])
+        evaluator.apply(Delta(inserts=[("E", (1, 1))]))
+        stores = {
+            "counts": counts,
+            "containment": verdicts,
+            "profiles": clean_default_plan_cache.profiles,
+            "artifacts": clean_default_plan_cache.artifacts,
+        }
+        for name, store in stores.items():
+            items = store.items()
+            assert items, name
+            for key, value in items:
+                assert not _holds_query(key), (name, key)
+                assert not _holds_query(value), (name, value)
 
 
 class TestDeltaKeepsLiveArtifactsOnly:
@@ -295,7 +351,7 @@ class TestDeltaKeepsLiveArtifactsOnly:
         evaluator.evaluate(query)
         live = len(query.connected_components())
         plan_cache = clean_default_plan_cache
-        assert plan_cache.compiled_stats()["entries"] == live
+        assert plan_cache.artifacts.stats()["entries"] == live
         for step in range(20):
             relation = relations[step % len(relations)]
             facts = sorted(evaluator.structure.facts(relation))
@@ -309,7 +365,7 @@ class TestDeltaKeepsLiveArtifactsOnly:
                 delta = Delta(deletes=[(relation, rng.choice(facts))])
             report = evaluator.apply(delta)
             assert report.refreshed_artifacts == 1
-            assert plan_cache.compiled_stats()["entries"] == live
+            assert plan_cache.artifacts.stats()["entries"] == live
             cold = count(
                 query,
                 evaluator.structure,
@@ -317,7 +373,7 @@ class TestDeltaKeepsLiveArtifactsOnly:
                 cache=CountCache(),
             )
             assert evaluator.evaluate(query) == cold
-        assert plan_cache.compiled_stats()["entries"] == live
+        assert plan_cache.artifacts.stats()["entries"] == live
 
 
 class TestArtifactsReferenceFacts:

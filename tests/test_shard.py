@@ -26,7 +26,11 @@ import urllib.request
 import pytest
 
 from repro.containment_set.cache import ContainmentCache, containment_cache_key
-from repro.homomorphism.cache import CountCache, component_cache_key
+from repro.homomorphism.cache import (
+    CountCache,
+    affected_by,
+    component_cache_key,
+)
 from repro.io import structure_from_facts
 from repro.obs.metrics import Registry
 from repro.planner.analyze import PlanCache
@@ -66,7 +70,7 @@ class TestDurableCounts:
         assert store.stats()["counts"] == 1
 
         fresh = CountCache()
-        report = DurableCacheStore(tmp_path).restore_counts(fresh)
+        report = DurableCacheStore(tmp_path).restore("counts", fresh)
         assert (report.loaded, report.rejected) == (1, 0)
         assert fresh.lookup(key) == 3
 
@@ -77,7 +81,7 @@ class TestDurableCounts:
         cache.store(_count_key("E(x, y) & E(y, z)"), 3)
 
         fresh = CountCache()
-        DurableCacheStore(tmp_path).restore_counts(fresh)
+        DurableCacheStore(tmp_path).restore("counts", fresh)
         # The key canonicalizes the component, so a renamed variant of
         # the query reads the persisted count.
         assert fresh.lookup(_count_key("E(u, v) & E(v, w)")) == 3
@@ -87,7 +91,7 @@ class TestDurableCounts:
         cache = CountCache()
         cache.store(_count_key("E(x, y)"), 3)
         cache.store(_count_key("U(x)"), 1)
-        assert store.save_counts(cache) == 2
+        assert store.save("counts", cache) == 2
         assert store.stats()["counts"] == 2
 
     def test_restore_is_idempotent_and_rewrites_nothing(self, tmp_path):
@@ -100,7 +104,7 @@ class TestDurableCounts:
 
         warmed = CountCache()
         warmed.attach_durable(store)
-        store.restore_counts(warmed)
+        store.restore("counts", warmed)
         assert path.stat().st_mtime_ns == written
         assert store.stats()["counts"] == 1
 
@@ -114,7 +118,7 @@ class TestDurableCounts:
         cache.invalidate_relations({"E"})
         assert store.stats()["counts"] == 1
         fresh = CountCache()
-        DurableCacheStore(tmp_path).restore_counts(fresh)
+        DurableCacheStore(tmp_path).restore("counts", fresh)
         assert fresh.lookup(_count_key("U(x)")) == 1
         assert fresh.lookup(_count_key("E(x, y) & E(y, z)")) is None
 
@@ -126,7 +130,7 @@ class TestDurableCounts:
         seeder.store(_count_key("E(x, y)"), 3)
 
         store = DurableCacheStore(tmp_path)  # fresh process, index scan
-        assert store.invalidate_relations({"E"}) == 1
+        assert store.invalidate("counts", affected_by({"E"})) == 1
         assert store.stats()["counts"] == 0
 
 
@@ -141,7 +145,7 @@ class TestDurablePlans:
         assert store.stats()["plans"] == 1
 
         fresh = PlanCache()
-        report = DurableCacheStore(tmp_path).restore_plans(fresh)
+        report = DurableCacheStore(tmp_path).restore("plans", fresh.profiles)
         assert (report.loaded, report.rejected) == (1, 0)
         restored, was_hit = fresh.profile(parse_query("E(a, b) & E(b, c) & U(c)"))
         assert was_hit
@@ -168,7 +172,7 @@ class TestDurableContainment:
         assert store.stats()["containment"] == 2
 
         fresh = ContainmentCache()
-        report = DurableCacheStore(tmp_path).restore_containment(fresh)
+        report = DurableCacheStore(tmp_path).restore("containment", fresh)
         assert (report.loaded, report.rejected) == (2, 0)
         assert fresh.lookup(key) == (True, None)
 
@@ -232,8 +236,8 @@ class TestSnapshotCorruption:
         )
 
         fresh = CountCache()
-        report = DurableCacheStore(tmp_path, registry=registry).restore_counts(
-            fresh
+        report = DurableCacheStore(tmp_path, registry=registry).restore(
+            "counts", fresh
         )
         assert report.loaded == 2
         assert report.rejected == 4
@@ -255,9 +259,7 @@ class TestSnapshotCorruption:
         entry = {
             "format": FORMAT_VERSION,
             "tier": "counts",
-            "component": {"nonsense": True},
-            "fingerprint": {"§": []},
-            "engine": "backtracking",
+            "key": {"§": [{"nonsense": True}, {"§": []}, "backtracking"]},
             "value": "three",
             "relations": ["E"],
             "domain_dependent": False,
@@ -266,9 +268,39 @@ class TestSnapshotCorruption:
         path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
 
         fresh = CountCache()
-        report = store.restore_counts(fresh)
+        report = store.restore("counts", fresh)
         assert (report.loaded, report.rejected) == (0, 1)
         assert len(fresh) == 0
+
+    def test_format_1_entry_is_rejected_counted_and_never_served(
+        self, tmp_path
+    ):
+        """A count file in the layout before component keys — internally
+        consistent, digest-named — is skipped, never decoded as a count."""
+        registry = Registry()
+        from repro.shard.persist import _entry_digest
+
+        entry = {
+            "format": 1,
+            "tier": "counts",
+            "component": {"atoms": [["E", [["var", "_c0"], ["var", "_c1"]]]]},
+            "fingerprint": {"§": ["§fp", {"§": []}, {"§": []}, None]},
+            "engine": "backtracking",
+            "value": 3,
+            "relations": ["E"],
+            "domain_dependent": False,
+        }
+        path = tmp_path / "counts" / f"{_entry_digest(entry)}.json"
+        path.parent.mkdir(parents=True)
+        path.write_text(json.dumps(entry, sort_keys=True), encoding="utf-8")
+
+        fresh = CountCache()
+        store = DurableCacheStore(tmp_path, registry=registry)
+        report = store.restore("counts", fresh)
+        assert (report.loaded, report.rejected) == (0, 1)
+        assert registry.snapshot()["shard.snapshot.rejected"]["value"] == 1
+        assert len(fresh) == 0
+        assert fresh.lookup(_count_key("E(x, y)")) is None
 
     def test_corrupt_files_never_crash_restart_loop(self, tmp_path):
         """Restore → corrupt → restore again: the store keeps serving."""
@@ -276,12 +308,15 @@ class TestSnapshotCorruption:
         for path in (tmp_path / "counts").glob("*.json"):
             path.write_text("{", encoding="utf-8")
         fresh = CountCache()
-        report = DurableCacheStore(tmp_path).restore_counts(fresh)
+        report = DurableCacheStore(tmp_path).restore("counts", fresh)
         assert report.loaded == 0
         assert report.rejected == 2
         # And invalidation still works (the undecodable files are
         # conservatively treated as depending on everything).
-        assert DurableCacheStore(tmp_path).invalidate_relations({"Z"}) == 2
+        assert (
+            DurableCacheStore(tmp_path).invalidate("counts", affected_by({"Z"}))
+            == 2
+        )
         assert store.stats()["counts"] == 0
 
 
@@ -536,6 +571,85 @@ class TestShardRouterLive:
             # And the fleet still answers.
             body = {"query_text": "U(x)", "facts": "U(a)"}
             assert http_post_json(f"{url}/evaluate", body)["count"] == 1
+
+    def test_snapshot_warm_restart(self, tmp_path):
+        """A fleet restarted on its snapshot directory warm-restores
+        before serving, so replaying its workload is all cache hits; a
+        file in the layout before component keys is rejected, counted
+        and never served."""
+        import random
+
+        from repro.homomorphism import count
+        from repro.io import query_to_dict
+        from repro.relational import Schema, Structure
+        from repro.service import ServiceClient
+        from repro.shard.persist import _entry_digest
+        from repro.workloads import cycle_query
+
+        def graph(seed, n=13):
+            rng = random.Random(seed)
+            edges = {(rng.randrange(n), rng.randrange(n)) for _ in range(4 * n)}
+            return Structure(
+                Schema.from_arities({"E": 2}), {"E": edges}, domain=range(n)
+            )
+
+        query = cycle_query(6)
+        graphs = [graph(seed) for seed in range(8)]
+        expected = [count(query, g, engine="backtracking") for g in graphs]
+        config = RouterConfig(
+            shards=2, workers_per_shard=2, snapshot_dir=str(tmp_path)
+        )
+
+        def replay(url, seed) -> dict:
+            client = ServiceClient(url, seed=seed)
+            for g, value in zip(graphs, expected):
+                assert client.evaluate(query, g, engine="backtracking") == value
+            return http_get_json(f"{url}/metrics")["metrics"]
+
+        with ShardRouter(config) as router:
+            replay(router.url, 7)
+            assert http_post_json(f"{router.url}/snapshot", {})["saved"][
+                "counts"
+            ] >= 1
+
+        # The restarted fleet warm-restored from the snapshot dir...
+        with ShardRouter(config) as router:
+            merged = http_get_json(f"{router.url}/metrics")["metrics"]
+            assert merged["shard.snapshot.loaded"]["value"] >= len(graphs)
+            assert merged["shard.snapshot.rejected"]["value"] == 0
+            # ...so replaying the pre-restart workload hits the restored
+            # caches instead of re-evaluating: bit-identical counts.
+            merged = replay(router.url, 11)
+            assert merged["cache.hits"]["value"] >= len(graphs)
+
+        # A format-1 count file claiming a wrong count, in the directory
+        # of the shard that owns its request.
+        body = {"query_text": "E(x, y)", "facts": "E(a,b) E(b,c)"}
+        shard = ConsistentHashRing(2).route(routing_key("evaluate", body))
+        fingerprint = structure_from_facts(body["facts"]).relation_fingerprint(
+            "E"
+        )
+        entry = {
+            "format": 1,
+            "tier": "counts",
+            "component": query_to_dict(parse_query("E(_c0, _c1)")),
+            "fingerprint": {
+                "§": ["§fp", {"§": [{"§": ["E", fingerprint]}]}, {"§": []}, None]
+            },
+            "engine": "backtracking",
+            "value": 999,
+            "relations": ["E"],
+            "domain_dependent": False,
+        }
+        counts = tmp_path / f"shard-{shard:02d}" / "counts"
+        (counts / f"{_entry_digest(entry)}.json").write_text(
+            json.dumps(entry, sort_keys=True), encoding="utf-8"
+        )
+        with ShardRouter(config) as router:
+            merged = http_get_json(f"{router.url}/metrics")["metrics"]
+            assert merged["shard.snapshot.loaded"]["value"] >= len(graphs)
+            assert merged["shard.snapshot.rejected"]["value"] == 1
+            assert http_post_json(f"{router.url}/evaluate", body)["count"] == 2
 
     def test_router_sheds_cleanly_when_worker_down_mid_request(self, tmp_path):
         """With a 1-shard ring and the worker held down, requests get a
