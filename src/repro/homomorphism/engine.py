@@ -74,9 +74,12 @@ def _resolve_engine(engine: str):
 
 
 def _tag_engine(error: EvaluationError, engine: str) -> EvaluationError:
-    """Append the chosen engine to a mid-evaluation error, once."""
-    if getattr(error, "engine", None) is not None:
-        return error
+    """A mid-evaluation error with the chosen engine appended.
+
+    Callers tag an error once, and re-raise an already tagged one as it
+    is: raised ``from`` itself, it would be its own cause, a reference
+    cycle through every frame of its traceback.
+    """
     tagged = EvaluationError(f"{error} [engine: {engine}]")
     tagged.engine = engine  # type: ignore[attr-defined]
     return tagged
@@ -148,6 +151,8 @@ def count(
             return _count_inclusion_exclusion(query, structure)
         return _count_components(query, structure, counter, engine, cache)
     except EvaluationError as error:
+        if getattr(error, "engine", None) is not None:
+            raise
         raise _tag_engine(error, engine) from error
 
 
@@ -211,6 +216,8 @@ def _dispatch(component, structure, counter, engine: str, registry, cache=None) 
             with registry.histogram(f"engine.time.{engine}").time():
                 value = counter(component, structure)
     except EvaluationError as error:
+        if getattr(error, "engine", None) is not None:
+            raise
         raise _tag_engine(error, engine) from error
     if key is not None:
         cache.store(key, value)

@@ -356,7 +356,14 @@ def _count_component(
             cache[key] = message(bag, separator_assignment)
         return cache[key]
 
-    result = cached_message(root, {})
+    try:
+        result = cached_message(root, {})
+    finally:
+        # ``message`` and ``cached_message`` call each other through
+        # their closure cells, a reference cycle that holds the DP table,
+        # the constraints and the structure.  Unlink it, so reference
+        # counting frees them when the count ends or stops at its deadline.
+        del cached_message
     if registry is not None:
         # The cache *is* the DP table: one entry per (bag, separator
         # assignment) message ever computed.

@@ -217,7 +217,13 @@ def find_isomorphism(
             used.discard(image)
         return False
 
-    if backtrack(0):
+    try:
+        found = backtrack(0)
+    finally:
+        # ``backtrack`` calls itself through its closure cell, a reference
+        # cycle that holds both structures: unlink it.
+        del backtrack
+    if found:
         # Fact counts are equal and the mapping preserves facts injectively,
         # so the image fact sets coincide; constants were matched by color.
         return dict(mapping)

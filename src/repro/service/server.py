@@ -47,6 +47,7 @@ envelope), lets queued + in-flight work finish, and joins the workers.
 
 from __future__ import annotations
 
+import gc
 import json
 import queue
 import threading
@@ -570,7 +571,9 @@ class EvaluationServer:
                     context.child("shed"),
                     queue_depth=self.config.queue_depth,
                 )
-                raise shed from None
+                # Raise a copy: ``shed`` is a local of this frame, so
+                # raising it would put the frame on its own traceback.
+                raise _ServiceFailure.from_exception(shed) from None
         else:
             self._counter("service.coalesced")
             context.coalesced = True
@@ -605,8 +608,9 @@ class EvaluationServer:
             )
         if flight.error is not None:
             self._counter("service.errors")
-            if isinstance(flight.error, _ServiceFailure):
-                raise flight.error
+            # A fresh failure for each waiter: the flight's own error,
+            # once raised, would carry a traceback through this frame,
+            # which holds the flight, a reference cycle.
             raise _ServiceFailure.from_exception(flight.error)
         assert flight.result is not None
         return flight.result
@@ -717,12 +721,16 @@ class EvaluationServer:
                         flight.result = request.run()
                     self._counter("service.completed")
                     evaluate.set(outcome="ok")
+                # The flight keeps an error's type and message, never its
+                # traceback: that runs through every frame of the stopped
+                # evaluation and, from a deadline check, through
+                # ``_Flight.expire``, whose frame holds the flight.
                 except DeadlineExpired as error:
-                    flight.error = error
+                    flight.error = DeadlineExpired(str(error))
                     self._counter("service.cancelled")
                     evaluate.set(outcome="cancelled")
                 except BaseException as error:  # noqa: BLE001 — fanned to waiters
-                    flight.error = error
+                    flight.error = _ServiceFailure.from_exception(error)
                     evaluate.set(outcome="error", error=type(error).__name__)
                 finally:
                     FLIGHT.reset(token)
@@ -810,11 +818,20 @@ class EvaluationServer:
         }
 
     def metrics_json(self) -> str:
-        return stable_json_dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "metrics": self.registry.snapshot(),
+        metrics = self.registry.snapshot()
+        # The cyclic collector's work since start-up: read from the
+        # interpreter at scrape time, into this snapshot only.  A
+        # request's state is freed by reference counting, so a
+        # ``collected`` that climbs under steady traffic means some path
+        # forms reference cycles again (docs/OBSERVABILITY.md).
+        generations = gc.get_stats()
+        for field in ("collected", "collections"):
+            total = sum(generation[field] for generation in generations)
+            metrics[f"process.gc.{field}"] = {
+                "type": "gauge", "value": total, "max": total,
             }
+        return stable_json_dumps(
+            {"schema_version": SCHEMA_VERSION, "metrics": metrics}
         )
 
     def traces_json(self) -> str:
@@ -844,6 +861,8 @@ class _ServiceFailure(Exception):
 
     @classmethod
     def from_exception(cls, error: BaseException) -> "_ServiceFailure":
+        if isinstance(error, _ServiceFailure):
+            return cls(error.kind, str(error), error.retry_after)
         envelope = protocol.error_from_exception(error)
         entry = envelope["error"]
         return cls(entry["kind"], entry["message"], entry["retry_after"])

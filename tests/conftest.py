@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+import time
 
 import pytest
 
@@ -67,6 +68,14 @@ def brute_force_count(query, structure) -> int:
         if is_homomorphism(dict(zip(variables, combo)), query, structure):
             total += 1
     return total
+
+
+def wait_for(condition, timeout_s: float = 10.0) -> None:
+    """Poll ``condition`` until it holds; fail after ``timeout_s``."""
+    deadline = time.monotonic() + timeout_s
+    while not condition():
+        assert time.monotonic() < deadline, "condition never held"
+        time.sleep(0.001)
 
 
 class Gate:

@@ -13,21 +13,34 @@ liveness and entry counts — never RSS:
   one per version;
 * compiled artifacts reference the structure's fact tuples instead of
   copying them, share equal chain indexes, and keep neither structure
-  they were built or refreshed from alive.
+  they were built or refreshed from alive;
+* nothing on the serving path forms a reference cycle, so reference
+  counting frees a request's state when the request ends: checked with
+  the cyclic collector off, where the other tests collect first.
 """
 
 from __future__ import annotations
 
+import ast
+import collections
 import gc
 import inspect
+import json
 import pickle
 import random
 import threading
+import urllib.error
+import urllib.request
 import weakref
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
+import repro
 import repro.homomorphism.cache as cache_module
+from repro.deadline import FLIGHT
+from repro.errors import DeadlineExpired
 from repro.homomorphism import count
 from repro.homomorphism.backtracking import count_homomorphisms
 from repro.homomorphism.cache import (
@@ -38,11 +51,16 @@ from repro.homomorphism.cache import (
 from repro.homomorphism.compiled import compile_component, refresh_component
 from repro.homomorphism.delta import DeltaEvaluator
 from repro.planner import PlanCache, select_for
+from repro.obs import activate
+from repro.obs.metrics import Registry
 from repro.planner.plan import default_plan_cache
 from repro.queries import ConjunctiveQuery, parse_query
 from repro.relational import Schema, Structure
+from repro.relational.isomorphism import find_isomorphism
 from repro.relational.structure import Delta
+from repro.service import EvaluationServer, ServerConfig, ServiceClient
 from repro.service.protocol import request_key
+from tests.conftest import wait_for
 
 
 class _WeakQuery(ConjunctiveQuery):
@@ -455,3 +473,296 @@ class TestArtifactsReferenceFacts:
         gc.collect()
         assert old_ref() is None and new_ref() is None
         assert refreshed.run() == expected
+
+
+# -- no reference cycles -----------------------------------------------------
+
+
+class _Expired:
+    """A flight whose deadline has passed: the first check stops the count."""
+
+    deadline = float("-inf")
+
+    def expire(self) -> None:
+        raise DeadlineExpired("stopped at its first deadline check")
+
+
+@contextmanager
+def _collector_off(save_all: bool = False):
+    """Only reference counting frees objects in the block.
+
+    With ``save_all``, a collection keeps what it finds in ``gc.garbage``
+    (cleared on exit), so a failing check can name it.
+    """
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    if save_all:
+        gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        yield
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+
+
+def _complete_graph(n: int) -> _WeakStructure:
+    """The complete loop-free digraph: enough work that every engine
+    reaches a deadline check."""
+    edges = {(a, b) for a in range(n) for b in range(n) if a != b}
+    return _graph(edges, n, _WeakStructure)
+
+
+#: Acyclic, so every engine counts it; its tree decomposition has three
+#: bags.
+PATH4 = "E(a, b) & E(b, c) & E(c, d)"
+#: A pentagon with an inequality: ``auto`` counts it by the DP.
+PENTAGON = "E(a, b) & E(b, c) & E(c, d) & E(d, e) & E(e, a) & a != c"
+
+
+def _post(url: str, endpoint: str, body: dict) -> int:
+    """POST ``body``; the response status.  Raw, so the client's own
+    retry and exception objects stay out of the count."""
+    request = urllib.request.Request(
+        f"{url}/{endpoint}",
+        data=json.dumps(body).encode("utf-8"),
+        method="POST",
+        headers={"Content-Type": "application/json"},
+    )
+    try:
+        with urllib.request.urlopen(request, timeout=60) as response:
+            response.read()
+            return response.status
+    except urllib.error.HTTPError as error:
+        with error:
+            error.read()
+            return error.code
+
+
+def _facts(edges) -> str:
+    return " ".join(f"E(n{a},n{b})" for a, b in sorted(edges))
+
+
+#: A small graph every shape below counts on.
+FACTS = _facts(_random_graph(11, n=8, edges=30).facts("E"))
+#: The transitive tournament on 6 vertices, anchored at ``S``'s one
+#: vertex, on the complete digraph on 24: seconds of work on every
+#: engine, so a 50 ms deadline stops it.
+HEAVY_QUERY = "S(x0) & " + " & ".join(
+    f"E(x{i}, x{j})" for i in range(6) for j in range(i + 1, 6)
+)
+HEAVY_FACTS = "S(n0) " + _facts(
+    (a, b) for a in range(24) for b in range(24) if a != b
+)
+
+
+def _evaluate(query: str, engine: str = "auto", **fields) -> tuple:
+    return "evaluate", {
+        "kind": "cq", "query_text": query, "facts": FACTS,
+        "engine": engine, "cache": False, **fields,
+    }
+
+
+#: One request of every shape the server serves, with its status: each
+#: engine, a union, both containment verdicts, a plan, a search, a
+#: database's load, read and update, a 400, a 422 at parse time and at
+#: run time, and a count cancelled at its deadline on three engines.
+SHAPES = [
+    *(
+        (*_evaluate(PATH4, engine), 200)
+        for engine in ("backtracking", "treewidth", "acyclic", "compiled")
+    ),
+    (*_evaluate(PENTAGON), 200),
+    (
+        "evaluate",
+        {
+            "kind": "ucq", "facts": FACTS, "cache": False,
+            "disjuncts": [
+                {"query_text": PENTAGON, "multiplicity": 2},
+                {"query_text": PATH4},
+            ],
+        },
+        200,
+    ),
+    ("contain", {"phi_s_text": "E(x, y) & E(y, x)", "phi_b_text": "E(x, y)"}, 200),
+    ("contain", {"phi_s_text": "E(x, y)", "phi_b_text": "E(x, y) & E(y, x)"}, 200),
+    ("explain", {"query_text": PENTAGON, "facts": FACTS}, 200),
+    ("decide", {"phi_s_text": "E(x, y)", "phi_b_text": "E(x, x)", "count": 20}, 200),
+    ("db", {"name": "g", "facts": FACTS}, 200),
+    ("evaluate", {"kind": "cq", "query_text": PENTAGON, "db": "g"}, 200),
+    ("update", {"db": "g", "insert": "E(n0,n7)"}, 200),
+    ("evaluate", {"kind": "cq", "query_text": PENTAGON, "db": "g"}, 200),
+    ("evaluate", {"kind": "cq", "facts": FACTS}, 400),
+    (*_evaluate("E(x, y"), 422),
+    (*_evaluate("E(x, y, z)"), 422),
+    *(
+        (
+            "evaluate",
+            {
+                "kind": "cq", "query_text": HEAVY_QUERY,
+                "facts": HEAVY_FACTS, "engine": engine, "deadline_ms": 50,
+            },
+            504,
+        )
+        for engine in ("backtracking", "compiled", "treewidth")
+    ),
+]
+
+
+class TestNoReferenceCycles:
+    """A request's state is freed by reference counting when it ends.
+
+    The cyclic collector is off in these tests: whatever a reference
+    cycle holds would stay until a full collection, so a cycle anywhere
+    on the path fails them.
+    """
+
+    @pytest.mark.parametrize("stopped", [False, True], ids=["done", "stopped"])
+    @pytest.mark.parametrize(
+        "engine, text",
+        [
+            ("backtracking", PATH4),
+            ("treewidth", PATH4),
+            ("acyclic", PATH4),
+            ("compiled", PATH4),
+            ("auto", PENTAGON),
+        ],
+    )
+    def test_count_frees_query_and_structure(self, engine, text, stopped):
+        parsed = parse_query(text)
+        query = _WeakQuery(parsed.atoms, parsed.inequalities)
+        structure = _complete_graph(12)
+        refs = [weakref.ref(query), weakref.ref(structure)]
+        registry = Registry()
+        with _collector_off(), activate(registry):
+            token = FLIGHT.set(_Expired() if stopped else None)
+            try:
+                count(query, structure, engine=engine)
+            except DeadlineExpired:
+                assert stopped
+            else:
+                assert not stopped
+            finally:
+                FLIGHT.reset(token)
+            del parsed, query, structure
+            assert [ref() for ref in refs] == [None, None]
+        if engine in ("treewidth", "auto"):
+            assert registry.counter("td.bags").value >= 2
+
+    def test_find_isomorphism_frees_both_structures(self):
+        left = _random_graph(6, cls=_WeakStructure)
+        image = list(range(7))
+        random.Random(6).shuffle(image)
+        right = _graph(
+            {(image[a], image[b]) for a, b in left.facts("E")}, 7, _WeakStructure
+        )
+        refs = [weakref.ref(left), weakref.ref(right)]
+        with _collector_off():
+            assert find_isomorphism(left, right) is not None
+            del left, right
+            assert [ref() for ref in refs] == [None, None]
+
+    def test_a_server_life_leaves_no_cycles(self, gate):
+        threads = set(threading.enumerate())
+        with _collector_off(save_all=True):
+            server = EvaluationServer(
+                ServerConfig(workers=1, queue_depth=1)
+            ).start()
+            try:
+                self._serve(server, gate("evaluate"))
+            finally:
+                server.close()
+            # Collect once every connection's thread has let go of its
+            # request.  ``server`` is still held, so what a server keeps
+            # is reachable: only what requests left in cycles is found.
+            wait_for(lambda: set(threading.enumerate()) <= threads)
+            found = gc.collect()
+            kinds = collections.Counter(type(item).__name__ for item in gc.garbage)
+            assert found == 0, kinds.most_common(8)
+
+    def test_recursive_closures_unlink_themselves(self):
+        """Statically, for paths no other test runs: a nested function
+        that reaches itself through closure cells is a reference cycle,
+        so its enclosing function must ``del`` one function on it."""
+        unbroken = []
+        for path in sorted(Path(repro.__file__).parent.rglob("*.py")):
+            for outer in ast.walk(ast.parse(path.read_text())):
+                if not isinstance(outer, ast.FunctionDef):
+                    continue
+                nested = {
+                    node.name: node
+                    for node in ast.walk(outer)
+                    if isinstance(node, ast.FunctionDef) and node is not outer
+                }
+                calls = {
+                    name: {
+                        ref.id
+                        for ref in ast.walk(node)
+                        if isinstance(ref, ast.Name) and ref.id in nested
+                    }
+                    for name, node in nested.items()
+                }
+                deleted = {
+                    target.id
+                    for node in ast.walk(outer)
+                    if isinstance(node, ast.Delete)
+                    for target in node.targets
+                    if isinstance(target, ast.Name)
+                }
+                for name in nested:
+                    reached, frontier = set(), [name]
+                    while frontier:
+                        for callee in calls[frontier.pop()] - reached:
+                            reached.add(callee)
+                            frontier.append(callee)
+                    if name in reached and not reached & deleted:
+                        unbroken.append(f"{path.name}::{outer.name}.{name}")
+        assert unbroken == []
+
+    def test_metrics_report_what_the_collector_frees(self):
+        with EvaluationServer(ServerConfig(workers=1)) as server:
+            client = ServiceClient(server.url, retries=0)
+            before = client.metrics()["metrics"]
+            cycle: list = []
+            cycle.append(cycle)
+            del cycle
+            gc.collect()
+            after = client.metrics()["metrics"]
+        for name in ("process.gc.collected", "process.gc.collections"):
+            assert after[name]["value"] > before[name]["value"], name
+
+    @staticmethod
+    def _serve(server: EvaluationServer, held) -> None:
+        def counter(name: str) -> int:
+            return server.registry.counter(name).value
+
+        # A leader held at the gate, and a duplicate that joins its flight.
+        statuses: list[int] = []
+        pair = [
+            threading.Thread(
+                target=lambda: statuses.append(_post(server.url, *_evaluate(PATH4)))
+            )
+            for _ in range(2)
+        ]
+        pair[0].start()
+        assert held.entered.wait(timeout=30)
+        pair[1].start()
+        wait_for(lambda: counter("service.coalesced") == 1)
+        # Queued behind the leader: its only waiter leaves at its deadline,
+        # and the worker skips it.  Then the one-deep queue sheds.
+        assert _post(server.url, *_evaluate(PENTAGON, deadline_ms=50)) == 504
+        assert _post(server.url, *_evaluate("E(x, x)")) == 429
+        held.opened.set()
+        for thread in pair:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert statuses == [200, 200]
+        wait_for(lambda: counter("service.expired_skipped") == 1)
+
+        calls = counter("td.calls")
+        for endpoint, body, status in SHAPES:
+            assert _post(server.url, endpoint, body) == status, (endpoint, body)
+        wait_for(lambda: counter("service.cancelled") == 3)
+        assert counter("td.calls") - calls >= 5  # every DP shape reached it

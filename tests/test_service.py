@@ -45,6 +45,7 @@ from repro.service import (
 )
 from repro.service import protocol
 from repro.workloads import cycle_query
+from tests.conftest import wait_for
 
 
 def _random_graph(n: int = 13, seed: int = 0) -> Structure:
@@ -322,14 +323,6 @@ class TestCoalescing:
             assert len(set(results)) == 1
 
 
-def _wait_for(condition, timeout_s: float = 10.0) -> None:
-    """Poll ``condition`` until it holds; fail after ``timeout_s``."""
-    deadline = time.monotonic() + timeout_s
-    while not condition():
-        assert time.monotonic() < deadline, "condition never held"
-        time.sleep(0.001)
-
-
 class TestAdmissionControl:
     def test_full_queue_sheds_structured_429(self, gate):
         # The one worker is held at a gate and the queue filled before
@@ -354,10 +347,10 @@ class TestAdmissionControl:
             assert held.entered.wait(timeout=10)
             for thread in threads[1:3]:
                 thread.start()
-            _wait_for(lambda: server.health()["queued"] == 2)
+            wait_for(lambda: server.health()["queued"] == 2)
             for thread in threads[3:]:
                 thread.start()
-            _wait_for(lambda: len(outcomes) == 7)
+            wait_for(lambda: len(outcomes) == 7)
             held.opened.set()
             for thread in threads:
                 # Bounded join: a hung request would trip the assert below.

@@ -26,6 +26,7 @@ from repro.relational import Schema, Structure
 from repro.service import EvaluationServer, ServerConfig, ServiceClient
 from repro.service import protocol
 from repro.workloads import cycle_query
+from tests.conftest import wait_for
 
 SLOW_QUERY = cycle_query(6)
 
@@ -287,23 +288,31 @@ class TestTracesEndpoint:
         assert evaluate["attrs"]["outcome"] == "ok"
         assert evaluate["duration_ms"] is not None
 
-    def test_coalesced_request_links_to_leader(self):
+    def test_coalesced_request_links_to_leader(self, gate):
+        # The leader is held at a gate until both duplicates have joined
+        # its flight, so which requests coalesce is determined.
+        held = gate("evaluate")
         config = ServerConfig(workers=1, queue_depth=8, trace_buffer=32)
         with EvaluationServer(config) as server:
-            barrier = threading.Barrier(3)
 
             def fire():
                 client = ServiceClient(server.url, retries=0)
-                barrier.wait()
                 client.evaluate(
                     SLOW_QUERY, SLOW_GRAPH, engine="backtracking", cache=False
                 )
 
             threads = [threading.Thread(target=fire) for _ in range(3)]
-            for thread in threads:
+            threads[0].start()
+            assert held.entered.wait(timeout=10)
+            for thread in threads[1:]:
                 thread.start()
+            wait_for(
+                lambda: server.registry.counter("service.coalesced").value == 2
+            )
+            held.opened.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             traces = ServiceClient(server.url).traces()["traces"]
         coalesced = [
             entry for entry in traces if entry["status"] == "coalesced"
@@ -322,17 +331,19 @@ class TestTracesEndpoint:
             ]
             assert coalesce_span["attrs"]["leader_request_id"] in leader_ids
 
-    def test_shed_request_records_shed_span(self):
+    def test_shed_request_records_shed_span(self, gate):
+        # The one worker is held at a gate and the one-deep queue filled
+        # before the rest arrive, so exactly which requests shed is
+        # determined.
+        held = gate("evaluate")
         config = ServerConfig(
             workers=1, queue_depth=1, coalesce=False, trace_buffer=32
         )
         with EvaluationServer(config) as server:
-            barrier = threading.Barrier(6)
             statuses: list[int] = []
             lock = threading.Lock()
 
             def fire(index: int):
-                barrier.wait()
                 status, _, body = _post_raw(
                     server.url,
                     "evaluate",
@@ -354,10 +365,17 @@ class TestTracesEndpoint:
                 threading.Thread(target=fire, args=(index,))
                 for index in range(6)
             ]
-            for thread in threads:
+            threads[0].start()
+            assert held.entered.wait(timeout=10)
+            threads[1].start()
+            wait_for(lambda: server.health()["queued"] == 1)
+            for thread in threads[2:]:
                 thread.start()
+            wait_for(lambda: len(statuses) == 4)
+            held.opened.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             traces = ServiceClient(server.url).traces()["traces"]
         assert 429 in statuses, statuses
         shed_entries = [
