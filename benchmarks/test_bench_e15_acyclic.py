@@ -1,9 +1,10 @@
-"""E15 — the acyclic (Yannakakis) engine vs the general engines.
+"""E15 — the Yannakakis counter for acyclic queries vs the general engines.
 
 Regenerates the agreement/latency table for acyclic query shapes on
-growing random graphs — the figure-analog showing the linear-time engine
-pulling away from the general engines as the instance grows — and
-benchmarks the acyclic engine on the largest instance.
+growing random graphs — the figure-analog showing the linear-time
+counter pulling away from the general engines as the instance grows —
+and benchmarks it on the largest instance.  It is a reference counter,
+not an engine: ``compiled`` runs the same passes (E19, E30).
 """
 
 import random

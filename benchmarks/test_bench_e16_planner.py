@@ -3,7 +3,8 @@
 Regenerates the planner's headline table: on the acyclic / low-treewidth
 slice of the workload (paths, trees, thin cycles — the shapes the
 paper's gadget families are made of), ``auto`` routes components to the
-Yannakakis or tree-decomposition engine and pulls away from a fixed
+compiled engine (whose array passes are Yannakakis over the join tree)
+or the tree-decomposition engine and pulls away from a fixed
 backtracking choice as instances grow, while remaining bit-identical.
 
 The run emits ``benchmarks/BENCH_planner.json`` (path overridable via the

@@ -72,11 +72,6 @@ Subcommands::
         when a baseline is given, against it (the CI regression gate).
         Exits non-zero on any violation.
 
-    bagcq calibrate [--cases 40] [--repeat 3] [--seed 0] [--output PATH]
-        Fit the planner's per-engine cost scales from measured wall time
-        on the seeded case stream and print them as stable JSON (load
-        them with repro.planner.CostConstants.from_dict).
-
     bagcq compare --instance linear:2:3:7
         Print the inequality-budget comparison against Jayram-Kolaitis-Vee.
 
@@ -558,23 +553,6 @@ def _command_slo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_calibrate(args: argparse.Namespace) -> int:
-    from repro.loadgen import calibrate
-    from repro.obs.report import stable_json_dumps
-
-    constants = calibrate(
-        case_count=args.cases, seed=args.seed, repeat=args.repeat
-    )
-    rendered = stable_json_dumps(constants.to_dict())
-    print(rendered)
-    if args.output:
-        with open(args.output, "w", encoding="utf-8") as handle:
-            handle.write(rendered)
-            handle.write("\n")
-        print(f"wrote {args.output}", file=sys.stderr)
-    return 0
-
-
 def _command_search(args: argparse.Namespace) -> int:
     from repro.decision.search import find_counterexample, random_structures
     from repro.errors import SearchBudgetExceeded
@@ -782,6 +760,9 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.homomorphism.engine import ENGINES
+
+    engines = ("auto", *ENGINES)
     parser = argparse.ArgumentParser(
         prog="bagcq",
         description="Bag-semantics CQ containment: gadgets and reductions "
@@ -825,7 +806,7 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate_parser.add_argument("--facts", required=True)
     evaluate_parser.add_argument(
         "--engine",
-        choices=("auto", "backtracking", "treewidth", "acyclic", "compiled"),
+        choices=engines,
         default="auto",
         help="counting engine; 'auto' (default) plans per component",
     )
@@ -888,7 +869,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     update_parser.add_argument(
         "--engine",
-        choices=("auto", "backtracking", "treewidth", "acyclic", "compiled"),
+        choices=engines,
         default="auto",
     )
     update_parser.set_defaults(handler=_command_update)
@@ -1015,7 +996,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     call_parser.add_argument(
         "--engine",
-        choices=("auto", "backtracking", "treewidth", "acyclic", "compiled"),
+        choices=engines,
         default="auto",
     )
     call_parser.add_argument("--multiplier", type=int, default=1)
@@ -1099,26 +1080,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     slo_parser.set_defaults(handler=_command_slo)
 
-    calibrate_parser = sub.add_parser(
-        "calibrate",
-        help="fit the planner's per-engine cost scales on this machine",
-        parents=[obs_flags],
-    )
-    calibrate_parser.add_argument(
-        "--cases", type=_positive_int, default=40, help="cq cases to measure"
-    )
-    calibrate_parser.add_argument(
-        "--repeat", type=_positive_int, default=3, help="evaluations per sample"
-    )
-    calibrate_parser.add_argument("--seed", type=int, default=0)
-    calibrate_parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="also write the constants JSON to PATH",
-    )
-    calibrate_parser.set_defaults(handler=_command_calibrate)
-
     search_parser = sub.add_parser(
         "search",
         help="search random databases for a containment counterexample",
@@ -1137,7 +1098,7 @@ def build_parser() -> argparse.ArgumentParser:
     search_parser.add_argument("--max-candidates", type=int, default=None)
     search_parser.add_argument(
         "--engine",
-        choices=("auto", "backtracking", "treewidth", "acyclic", "compiled"),
+        choices=engines,
         default="auto",
         help="counting engine; 'auto' (default) plans per component",
     )
@@ -1179,7 +1140,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     contain_parser.add_argument(
         "--engine",
-        choices=("auto", "backtracking", "treewidth", "acyclic", "compiled"),
+        choices=engines,
         default="auto",
         help="counting engine for the homomorphism test",
     )

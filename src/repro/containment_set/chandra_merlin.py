@@ -4,8 +4,8 @@
 — holds iff ``Hom(φ_b, canonical(φ_s)) ≠ ∅`` [Chandra & Merlin 1977].
 The test here is phrased as a *count*, ``φ_b(canonical(φ_s)) > 0``, so
 the question dispatches through :func:`repro.homomorphism.engine.count`
-and any of the four engines (``backtracking``, ``treewidth``,
-``acyclic``, ``compiled``) or the planner-driven ``auto`` can answer it.
+and any of the three engines (``backtracking``, ``treewidth``,
+``compiled``) or the planner-driven ``auto`` can answer it.
 The verdict is engine-independent; so is the witness, which is always
 the first homomorphism of the deterministic backtracking enumeration.
 

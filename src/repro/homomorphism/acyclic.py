@@ -1,9 +1,11 @@
 """Yannakakis-style counting for acyclic conjunctive queries.
 
-A third, independent counting engine specialized to α-acyclic queries —
-the class whose bag-containment status [13] ties to open problems in
-information theory, and the classical tractable island of query
-evaluation.  The pipeline is textbook:
+An independent counter specialized to α-acyclic queries — the class
+whose bag-containment status [13] ties to open problems in information
+theory, and the classical tractable island of query evaluation.  It is
+a reference, not an engine: the compiled engine runs the same passes
+over the same :func:`join_tree`, and the tests and the ``cross_engine``
+oracle compare against this plain version.  The pipeline is textbook:
 
 1. **GYO reduction** detects α-acyclicity and produces a *join tree*: the
    query's atoms are nodes, and for every variable the nodes containing it

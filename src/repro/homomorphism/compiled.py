@@ -74,8 +74,8 @@ def compiled_supported(query: ConjunctiveQuery, structure: Structure) -> bool:
     """Is the component inside the specializer's envelope?
 
     The gates mirror :func:`repro.planner.cost.eligible_engines` (and the
-    acyclic engine's preconditions, minus GYO-reducibility — the compiler
-    handles cyclic shapes through the closure chain):
+    Yannakakis counter's preconditions, minus GYO-reducibility — the
+    compiler handles cyclic shapes through the closure chain):
 
     * no inequalities — the index keys and closure chains assume pure
       relational joins;
@@ -180,7 +180,7 @@ def _atom_rows(
     The variable order is the atom's first-occurrence order; each row
     holds the binding's values in that order.  Consistency (constants,
     repeated-variable positions) is discharged at compile time by the
-    acyclic engine's :func:`~repro.homomorphism.acyclic.matching_facts`.
+    Yannakakis counter's :func:`~repro.homomorphism.acyclic.matching_facts`.
     When every term is a distinct variable, every fact is consistent and
     is its own row, so the rows are the structure's fact tuples.
     """

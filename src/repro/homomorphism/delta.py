@@ -163,7 +163,9 @@ class DeltaEvaluator:
     fingerprints, so entries of other databases — or of *this* database
     at older versions — are never corrupted, only entries whose
     fingerprints match the pre-delta content are migrated or evicted.
-    ``plan_cache`` defaults to the process-wide planner cache.
+    ``plan_cache`` defaults to the process-wide planner cache.  An
+    unknown ``engine`` raises :class:`~repro.errors.EvaluationError`
+    here, as :func:`~repro.homomorphism.engine.count` would.
     """
 
     def __init__(
@@ -173,6 +175,9 @@ class DeltaEvaluator:
         cache: CountCache | None = None,
         plan_cache=None,
     ) -> None:
+        from repro.homomorphism.engine import _resolve_engine
+
+        _resolve_engine(engine)
         self._structure = structure
         self._engine = engine
         self._cache = cache if cache is not None else CountCache()

@@ -8,24 +8,28 @@ the lazy exponents of :class:`repro.queries.product.QueryProduct`
 (``(θ↑k)(D) = θ(D)^k``, Definition 2), and dispatches each component to a
 counting engine.
 
-``engine`` selects that engine per component: one of the four explicit
-engines (``"backtracking"``, ``"treewidth"``, ``"acyclic"``, or
-``"compiled"`` — the specialized per-plan evaluators of
+``engine`` selects that engine per component: one of the names in
+:data:`ENGINES` (``"backtracking"``, ``"treewidth"``, or ``"compiled"``
+— the specialized per-plan evaluators of
 :mod:`repro.homomorphism.compiled`), or ``"auto"`` — the
 :mod:`repro.planner` cost model picks the cheapest safe engine for each
 component individually.  ``auto`` is a drop-in for the default: the
 count is bit-identical (all engines agree exactly; the qa oracles
 enforce it differentially), and the planner only ever selects an engine
 that cannot raise where the backtracking engine would not.
+
+The Yannakakis counter of :mod:`repro.homomorphism.acyclic` is not an
+engine: ``compiled`` runs the same passes over the same join tree.  It
+stays as an independent reference the tests and the ``cross_engine``
+oracle compare against.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Literal, Union
+from typing import Union
 
 from repro.errors import EvaluationError
-from repro.homomorphism.acyclic import count_homomorphisms_acyclic
 from repro.homomorphism.backtracking import count_homomorphisms
 from repro.homomorphism.compiled import count_homomorphisms_compiled
 from repro.homomorphism.treewidth_dp import count_homomorphisms_td
@@ -36,17 +40,24 @@ from repro.queries.product import QueryProduct
 from repro.queries.terms import Constant, Term, Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries
 
-__all__ = ["count", "evaluate", "count_ucq", "Engine"]
+__all__ = ["count", "evaluate", "count_ucq", "Engine", "ENGINES"]
 
-Engine = Literal["backtracking", "treewidth", "acyclic", "compiled", "auto"]
 Countable = Union[ConjunctiveQuery, QueryProduct]
 
+#: Each engine's counter, in the planner's preference order: of two
+#: engines with equal estimated cost, the earlier one is picked.
 _ENGINES = {
     "backtracking": count_homomorphisms,
     "treewidth": count_homomorphisms_td,
-    "acyclic": count_homomorphisms_acyclic,
     "compiled": count_homomorphisms_compiled,
 }
+
+#: The engine names in preference order: every list of engines derives
+#: from this one.
+ENGINES = tuple(_ENGINES)
+
+#: An ``engine=`` argument: a name in :data:`ENGINES`, or ``"auto"``.
+Engine = str
 
 #: Guard for the opt-in inclusion-exclusion path (2^q terms).
 INCLUSION_EXCLUSION_LIMIT = 12
@@ -99,10 +110,10 @@ def count(
 
     ``engine`` picks the counting engine.  ``"auto"`` routes every
     connected component through the :mod:`repro.planner` cost model,
-    which selects the cheapest safe engine per component (Yannakakis for
-    acyclic shapes, tree-decomposition DP for wide-but-low-treewidth
-    ones, backtracking otherwise); explicit names force one engine for
-    all components, exactly as before.
+    which selects the cheapest safe engine per component (compiled
+    evaluators for most shapes, tree-decomposition DP for
+    wide-but-low-treewidth ones, backtracking for tiny ones); explicit
+    names force one engine for all components, exactly as before.
 
     ``use_inclusion_exclusion`` switches queries with (few) inequalities to
     the alternative evaluation ``|Hom with all ≠| = Σ_{S⊆ineqs}
@@ -184,8 +195,8 @@ def _dispatch(component, structure, counter, engine: str, registry, cache=None) 
     :mod:`repro.planner` cost model assigns the concrete engine here, per
     component, and everything downstream (cache keys, dispatch counters,
     error tags) sees only that concrete engine — so an ``auto`` run that
-    selects, say, ``acyclic`` is indistinguishable from an explicit
-    ``acyclic`` run of the same component.
+    selects, say, ``treewidth`` is indistinguishable from an explicit
+    ``treewidth`` run of the same component.
     """
     if engine == "auto":
         from repro.planner import select_for

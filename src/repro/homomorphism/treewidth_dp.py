@@ -55,14 +55,16 @@ Graph = dict[Hashable, set]
 
 
 def primal_graph(query: ConjunctiveQuery) -> dict[Variable, set[Variable]]:
-    """The query's primal graph, nodes in ``query.variables`` order.
+    """The query's primal graph, nodes in sorted variable order.
 
     Two variables are adjacent when they occur in one atom or are the two
     sides of an inequality.  Every call returns fresh neighbour sets, so
-    callers may consume the graph destructively.
+    callers may consume the graph destructively.  The node order is the
+    decomposition's tie-break, so sorting keeps the DP's work independent
+    of string hashing (``PYTHONHASHSEED``).
     """
     graph: dict[Variable, set[Variable]] = {
-        variable: set() for variable in query.variables
+        variable: set() for variable in sorted(query.variables)
     }
     for constraint in [*query.atoms, *query.inequalities]:
         scope = set(constraint.variables())  # type: ignore[union-attr]

@@ -170,8 +170,7 @@ def _adversarial_tail(seed: int, requests: int, clients: int) -> Scenario:
     """Mostly cheap traffic with a deliberately heavy tail.
 
     Every 5th request is adversarial: a ternary CYCLIQ on a dense
-    structure (cyclic, so the planner cannot use the acyclic engine) or
-    an α-gadget pair evaluated on its own witness.  The tail is what
+    structure or an α-gadget pair evaluated on its own witness.  The tail is what
     stretches p95/p99 away from p50.
     """
     rng = random.Random(seed)

@@ -5,7 +5,7 @@ Layered between the query algebra and the counting engines: a
 :class:`~repro.queries.product.QueryProduct`) into connected components,
 profiles each one structurally (GYO acyclicity, a greedy treewidth
 bound, sizes — memoized in a canonicalization-keyed :class:`PlanCache`),
-scores the three engines with a calibrated cost model, and returns an
+scores the three engines with a fixed cost model, and returns an
 executable :class:`Plan`.  ``engine="auto"`` in
 :mod:`repro.homomorphism.engine` / ``batch`` runs these plans;
 ``bagcq explain`` pretty-prints them.
@@ -20,17 +20,7 @@ from repro.planner.analyze import (
     analyze_component,
     greedy_treewidth_bound,
 )
-from repro.planner.cost import (
-    CostConstants,
-    eligible_engines,
-    estimate_cost,
-    estimate_visits,
-    fit_constants,
-    get_constants,
-    select_engine,
-    set_constants,
-    use_constants,
-)
+from repro.planner.cost import eligible_engines, estimate_cost, select_engine
 from repro.planner.plan import (
     Plan,
     PlanStep,
@@ -41,7 +31,6 @@ from repro.planner.plan import (
 
 __all__ = [
     "ComponentProfile",
-    "CostConstants",
     "Plan",
     "PlanCache",
     "PlanStep",
@@ -49,13 +38,8 @@ __all__ = [
     "default_plan_cache",
     "eligible_engines",
     "estimate_cost",
-    "estimate_visits",
-    "fit_constants",
-    "get_constants",
     "greedy_treewidth_bound",
     "plan",
     "select_engine",
     "select_for",
-    "set_constants",
-    "use_constants",
 ]

@@ -15,8 +15,8 @@ counter family at zero (the convention ``repro.qa`` established for
 * ``plan.components`` — component selections performed (cached or not);
 * ``plan.cache_hits`` / ``plan.cache_misses`` — :class:`PlanCache`
   profile lookups;
-* ``plan.selected.backtracking`` / ``.treewidth`` / ``.acyclic`` /
-  ``.compiled`` — which engine won;
+* ``plan.selected.<engine>`` — which engine won, one counter per name
+  in :data:`repro.homomorphism.engine.ENGINES`;
 * ``plan.compile.builds`` / ``plan.compile.cache_hits`` /
   ``plan.compile.cache_misses`` — compiled-artifact traffic in the
   :class:`PlanCache` (see :mod:`repro.homomorphism.compiled`);
@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Union
 
 from repro.errors import EvaluationError
+from repro.homomorphism.engine import ENGINES
 from repro.obs import metrics as obs_metrics
 from repro.obs.trace import span
 from repro.planner.analyze import ComponentProfile, PlanCache
@@ -59,10 +60,7 @@ _PLAN_COUNTERS = (
     "plan.components",
     "plan.cache_hits",
     "plan.cache_misses",
-    "plan.selected.backtracking",
-    "plan.selected.treewidth",
-    "plan.selected.acyclic",
-    "plan.selected.compiled",
+    *(f"plan.selected.{engine}" for engine in ENGINES),
     "plan.compile.builds",
     "plan.compile.cache_hits",
     "plan.compile.cache_misses",

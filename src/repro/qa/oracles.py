@@ -7,10 +7,11 @@ Registered oracles (``bagcq fuzz --oracle NAME`` selects a subset):
 
 ``cross_engine``
     The homomorphism engines and the planner-driven ``auto`` engine
-    agree (``acyclic`` only where it is applicable: inequality-free,
-    acyclic components; ``compiled`` on *every* case — it is total,
-    falling back to the interpreter outside its envelope, so the arm
-    also exercises the fallback's parity).
+    agree, and so does the Yannakakis reference counter where it is
+    applicable (inequality-free, acyclic components); ``compiled`` is
+    checked on *every* case — it is total, falling back to the
+    interpreter outside its envelope, so the arm also exercises the
+    fallback's parity.
 ``batch_parity``
     :func:`repro.homomorphism.batch.count_many` — with a private cache,
     with caching disabled, and with a tiny shared LRU — is bit-identical
@@ -52,10 +53,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable
 
-from repro.homomorphism.acyclic import is_acyclic
+from repro.homomorphism.acyclic import count_homomorphisms_acyclic, is_acyclic
 from repro.homomorphism.batch import count_many
 from repro.homomorphism.cache import CountCache
-from repro.homomorphism.engine import count, count_at_least, count_ucq
+from repro.homomorphism.engine import ENGINES, count, count_at_least, count_ucq
 from repro.qa.generators import FuzzCase
 from repro.queries.cq import ConjunctiveQuery
 from repro.queries.product import QueryProduct
@@ -158,7 +159,7 @@ def get_oracle(name: str) -> Oracle:
 
 @oracle("cross_engine")
 def _cross_engine(case: FuzzCase) -> OracleResult:
-    """backtracking, treewidth, compiled, auto (acyclic where applicable) agree."""
+    """backtracking, treewidth, compiled, auto (Yannakakis where applicable) agree."""
     reference = count(case.query, case.structure, engine="backtracking")
     via_td = count(case.query, case.structure, engine="treewidth")
     if via_td != reference:
@@ -175,11 +176,15 @@ def _cross_engine(case: FuzzCase) -> OracleResult:
         return OracleResult.failed(
             f"backtracking={reference} auto={via_auto}"
         )
+    components = case.query.connected_components()
     if not case.query.has_inequalities() and all(
-        is_acyclic(component)
-        for component in case.query.connected_components()
+        is_acyclic(component) for component in components
     ):
-        via_ac = count(case.query, case.structure, engine="acyclic")
+        via_ac = 1
+        for component in components:
+            via_ac *= count_homomorphisms_acyclic(component, case.structure)
+            if via_ac == 0:
+                break
         if via_ac != reference:
             return OracleResult.failed(
                 f"backtracking={reference} acyclic={via_ac}"
@@ -364,7 +369,9 @@ def _bag_vs_set(case: FuzzCase) -> OracleResult:
     # The interesting direction can go either way; all engines must agree
     # on it, witness and certificate included.
     reference = cq_containment(weakened, base, engine="backtracking")
-    for engine in ("treewidth", "compiled", "auto"):
+    for engine in (*ENGINES, "auto"):
+        if engine == "backtracking":
+            continue
         other = cq_containment(weakened, base, engine=engine)
         if other.contained is not reference.contained:
             return OracleResult.failed(

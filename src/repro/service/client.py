@@ -373,18 +373,17 @@ class ServiceClient:
             # GET introspection (healthz/metrics/traces) must not clobber
             # the handle callers use to find their last POST in /traces.
             self.last_request_id = request_id
-        last_error: ServiceError | None = None
         for attempt in range(self.retries + 1):
             try:
                 return self._once(method, url, payload, request_id, attempt)
             except ServiceUnavailable as error:
-                last_error = error
+                # A bare ``raise``: an error kept past its ``except`` would
+                # hold this frame through its traceback, a reference cycle.
                 if attempt >= self.retries:
-                    break
+                    raise
                 obs_metrics.add("service.client.retries")
                 time.sleep(self._backoff(attempt, error.retry_after))
-        assert last_error is not None
-        raise last_error
+        raise AssertionError("unreachable")  # pragma: no cover
 
     def _once(
         self,

@@ -42,8 +42,6 @@ from repro.service.protocol import PROTOCOL_VERSION, BadRequestError, request_ke
 
 __all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
 
-_ENGINES = ("auto", "backtracking", "treewidth", "acyclic", "compiled")
-
 #: Bound on ``domain_size ** max_arity`` of a ``/decide`` request's
 #: schema: every candidate draws one coin per possible tuple of each
 #: relation before the search can check its deadline again.  ``count``

@@ -9,7 +9,7 @@ import time
 import pytest
 
 from repro.deadline import check
-from repro.homomorphism import is_homomorphism
+from repro.homomorphism import count_homomorphisms_acyclic, is_homomorphism
 from repro.polynomials import Lemma11Instance, Monomial
 from repro.relational import Schema, Structure
 from repro.service.handlers import ENDPOINTS, ParsedRequest
@@ -67,6 +67,15 @@ def brute_force_count(query, structure) -> int:
     for combo in itertools.product(domain, repeat=len(variables)):
         if is_homomorphism(dict(zip(variables, combo)), query, structure):
             total += 1
+    return total
+
+
+def yannakakis_count(query, structure) -> int:
+    """Reference counter: the Yannakakis pass per connected component
+    (inequality-free, α-acyclic components only)."""
+    total = 1
+    for component in query.connected_components():
+        total *= count_homomorphisms_acyclic(component, structure)
     return total
 
 

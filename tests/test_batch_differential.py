@@ -22,8 +22,8 @@ from repro.homomorphism import (
     count,
     count_many,
     count_ucq,
-    is_acyclic,
 )
+from repro.homomorphism.engine import ENGINES
 from repro.queries.product import QueryProduct
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational import Schema, Structure
@@ -83,27 +83,15 @@ def _corpus() -> list[tuple]:
 CORPUS = _corpus()
 
 
-def _supports(query, engine: str) -> bool:
-    if engine != "acyclic":
-        return True
-    if isinstance(query, QueryProduct):
-        return not query.has_inequalities() and all(
-            is_acyclic(factor) for factor, _ in query
-        )
-    return not query.has_inequalities() and is_acyclic(query)
-
-
 def test_corpus_size():
     assert len(CORPUS) >= 200
 
 
-@pytest.mark.parametrize("engine", ["backtracking", "treewidth", "acyclic"])
+@pytest.mark.parametrize("engine", ENGINES)
 def test_count_many_matches_serial_per_engine(engine):
-    pairs = [(q, d) for q, d in CORPUS if _supports(q, engine)]
-    assert pairs, engine
-    serial = [count(q, d, engine=engine) for q, d in pairs]
+    serial = [count(q, d, engine=engine) for q, d in CORPUS]
     for cache in (None, False):
-        assert count_many(pairs, engine=engine, cache=cache) == serial
+        assert count_many(CORPUS, engine=engine, cache=cache) == serial
 
 
 @pytest.mark.parametrize("workers", [1, 2, 4])

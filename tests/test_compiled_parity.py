@@ -6,8 +6,8 @@ bad input, through every evaluation path the library offers.  This suite
 drives the seeded qa case stream (the same generator the fuzzer and the
 load generator share) through:
 
-* serial ``count`` — compiled vs backtracking vs auto (vs acyclic where
-  applicable);
+* serial ``count`` — compiled vs backtracking vs auto (vs the
+  Yannakakis reference counter where applicable);
 * the cached, batched, and ``workers=2`` paths (``CountCache`` /
   ``count_many``);
 * ``count_at_least`` (including the factorized :class:`QueryProduct`
@@ -46,6 +46,7 @@ from repro.queries.product import QueryProduct
 from repro.queries.terms import Variable
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational import Schema, Structure
+from tests.conftest import yannakakis_count
 
 #: Seeded corpus slice: enough cases to cover every generator feature
 #: (constants, inequalities, repeated variables, multi-component shapes)
@@ -98,7 +99,7 @@ class TestSeededCorpusParity:
                 for component in case.query.connected_components()
             ):
                 continue
-            reference = count(case.query, case.structure, engine="acyclic")
+            reference = yannakakis_count(case.query, case.structure)
             assert (
                 count(case.query, case.structure, engine="compiled")
                 == reference

@@ -4,9 +4,16 @@ Includes the differential tests that pin the two engines (backtracking and
 tree-decomposition DP) against the brute-force reference counter.
 """
 
+import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.errors import ConstantError, EvaluationError
 from repro.homomorphism import (
@@ -59,8 +66,10 @@ class TestCounting:
             count(parse_query("E(#nope, x)"), structure)
 
     def test_acyclic_engine_dispatch(self, structure):
+        # The Yannakakis counter is a reference, not an engine.
         query = parse_query("E(x, y) & E(y, z)")
-        assert count(query, structure, engine="acyclic") == count(query, structure)
+        with pytest.raises(EvaluationError, match="unknown engine 'acyclic'"):
+            count(query, structure, engine="acyclic")
 
     def test_unknown_relation_is_empty(self, structure):
         """A relation the structure does not declare is interpreted as empty."""
@@ -259,8 +268,44 @@ class TestTreeDecomposition:
         query = parse_query("E(x, y) & U(z) & T(x, x, w) & x != z & y != y")
         x, y, z, w = (Variable(name) for name in "xyzw")
         graph = primal_graph(query)
-        assert list(graph) == list(query.variables)
+        assert list(graph) == [w, x, y, z]
         assert graph == {x: {y, z, w}, y: {x}, z: {x}, w: {x}}
+
+    def test_dp_work_is_independent_of_hash_seed(self):
+        """The DP's bags, and so its work, do not depend on string
+        hashing: ``td.*`` agree under two ``PYTHONHASHSEED`` values."""
+        probe = (
+            "import json\n"
+            "from repro.homomorphism import count\n"
+            "from repro.obs import observe\n"
+            "from repro.qa.generators import case_at\n"
+            "with observe() as observation:\n"
+            "    for index in range(400):\n"
+            "        case = case_at(index, seed=0)\n"
+            "        if case.kind == 'cq':\n"
+            "            count(case.query, case.structure, engine='treewidth')\n"
+            "metrics = observation.report()['metrics']\n"
+            "print(json.dumps({name: metric['value'] for name, metric in "
+            "metrics.items() if name.startswith('td.')}))\n"
+        )
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        counters = []
+        for hash_seed in ("1", "2"):
+            environment = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            environment["PYTHONPATH"] = os.pathsep.join(
+                filter(None, [package_root, environment.get("PYTHONPATH")])
+            )
+            result = subprocess.run(
+                [sys.executable, "-c", probe],
+                capture_output=True,
+                text=True,
+                env=environment,
+                timeout=120,
+                check=True,
+            )
+            counters.append(json.loads(result.stdout))
+        assert counters[0]["td.message_calls"] > 0
+        assert counters[0] == counters[1]
 
     def test_query_primal_graphs_decompose_validly(self):
         for seed in range(200):

@@ -445,6 +445,18 @@ class TestServiceRoundTrip:
         health = client.healthz()
         assert health["databases"]["roundtrip"]["version"] == 2
 
+    def test_db_rejects_an_unknown_engine(self, server):
+        # Checked at load, as /evaluate checks it: a 422 with the
+        # library's class, and no database is bound.
+        client = ServiceClient(server.url, seed=0, retries=0)
+        for engine in ("nonsense", "acyclic"):
+            with pytest.raises(RemoteError) as excinfo:
+                client.load_db("checked", TRIANGLE, engine=engine)
+            assert excinfo.value.status == 422
+            assert excinfo.value.kind == "EvaluationError"
+            assert "unknown engine" in str(excinfo.value)
+        assert "checked" not in client.healthz()["databases"]
+
     def test_delta_object_update(self, server):
         client = ServiceClient(server.url, seed=0)
         client.load_db("ints", TRIANGLE)

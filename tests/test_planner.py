@@ -13,14 +13,14 @@ Two properties carry the subsystem:
 
 from __future__ import annotations
 
-from dataclasses import replace
+import json
 
 import pytest
 
 from repro.core.cycliq import cycliq
 from repro.homomorphism.batch import count_many
 from repro.homomorphism.cache import CountCache
-from repro.homomorphism.engine import count, count_ucq
+from repro.homomorphism.engine import ENGINES, count, count_ucq
 from repro.obs import observe
 from repro.planner import (
     Plan,
@@ -28,13 +28,15 @@ from repro.planner import (
     analyze_component,
     eligible_engines,
     estimate_cost,
-    estimate_visits,
-    get_constants,
     greedy_treewidth_bound,
     plan,
     select_engine,
     select_for,
-    use_constants,
+)
+from repro.planner.cost import (
+    COMPILED_BASE,
+    COMPILED_PER_ATOM,
+    COMPILED_PER_FACT,
 )
 from repro.qa.generators import case_at
 from repro.queries.cq import ConjunctiveQuery
@@ -97,7 +99,8 @@ class TestAnalyzeComponent:
     def test_cycliq_is_alpha_acyclic(self):
         # The classic α-acyclicity quirk: all CYCLIQ atoms cover the same
         # variable set, so GYO reduces it even though the primal graph is
-        # a clique.  The planner must see it as Yannakakis-able.
+        # a clique.  The planner must see it as Yannakakis-able, so the
+        # compiled engine's array passes price it.
         variables = tuple(Variable(f"x{i}") for i in range(3))
         profile = analyze_component(cycliq("R", variables))
         assert profile.acyclic
@@ -111,14 +114,11 @@ class TestAnalyzeComponent:
         structure = Structure(
             Schema.from_arities({"E": 2}), {"E": [(0, 1), (1, 2), (2, 0)]}
         )
-        constants = get_constants()
-        visits = estimate_visits(
-            "acyclic", query, analyze_component(query), structure
+        cost = estimate_cost(
+            "compiled", query, analyze_component(query), structure
         )
-        assert visits == (
-            constants.acyclic_base
-            + constants.acyclic_per_fact * 2 * 3
-            + constants.acyclic_per_atom * 2
+        assert cost == (
+            COMPILED_BASE + COMPILED_PER_FACT * 2 * 3 + COMPILED_PER_ATOM * 2
         )
 
 
@@ -169,30 +169,6 @@ class TestPlanCache:
 
 
 class TestEligibility:
-    def test_acyclic_requires_no_inequalities(self, edge_path):
-        query = parse_query("E(x, y) & E(y, z) & x != z")
-        profile = analyze_component(query)
-        engines = eligible_engines(query, profile, edge_path)
-        assert "acyclic" not in engines
-        assert set(engines) == {"backtracking", "treewidth"}
-
-    def test_acyclic_requires_gyo_reducibility(self, triangle):
-        query = cycle_query(3)
-        profile = analyze_component(query)
-        assert "acyclic" not in eligible_engines(query, profile, triangle)
-
-    def test_acyclic_requires_interpreted_constants(self, edge_path):
-        query = parse_query("E(x, #nowhere)")
-        profile = analyze_component(query)
-        # backtracking raises ConstantError here; acyclic would raise a
-        # different error class, so auto must not select it.
-        assert "acyclic" not in eligible_engines(query, profile, edge_path)
-
-    def test_acyclic_requires_matching_arity(self, edge_path):
-        query = parse_query("E(x, y, z)")
-        profile = analyze_component(query)
-        assert "acyclic" not in eligible_engines(query, profile, edge_path)
-
     def test_backtracking_and_treewidth_always_eligible(self, edge_path):
         query = parse_query("E(x, y) & x != y")
         profile = analyze_component(query)
@@ -222,12 +198,10 @@ class TestEligibility:
         assert "compiled" not in eligible_engines(query, profile, edge_path)
 
     def test_compiled_does_not_require_gyo_reducibility(self, triangle):
-        # Unlike acyclic: cyclic shapes take the closure chain.
+        # Cyclic shapes take the closure chain.
         query = cycle_query(3)
         profile = analyze_component(query)
-        engines = eligible_engines(query, profile, triangle)
-        assert "compiled" in engines
-        assert "acyclic" not in engines
+        assert eligible_engines(query, profile, triangle) == ENGINES
 
     def test_compiled_eligible_on_plain_acyclic_component(self, edge_path):
         query = path_query(3)
@@ -244,18 +218,10 @@ class TestSelection:
         assert engine == "backtracking"
 
     def test_long_path_prefers_compiled(self, dense):
-        # Since the compiled engine joined the model, it undercuts the
-        # interpreted Yannakakis pass on the dense acyclic slice.
+        # Its array-semiring Yannakakis pass is linear in the facts.
         query = path_query(5)
         engine, _ = select_engine(query, analyze_component(query), dense)
         assert engine == "compiled"
-
-    def test_long_path_prefers_acyclic_when_compiled_priced_out(self, dense):
-        query = path_query(5)
-        expensive = replace(get_constants(), compiled_scale=1e6)
-        with use_constants(expensive):
-            engine, _ = select_engine(query, analyze_component(query), dense)
-        assert engine == "acyclic"
 
     def test_dense_cycle_prefers_treewidth(self, dense):
         query = cycle_query(6)
@@ -265,15 +231,16 @@ class TestSelection:
     def test_estimates_are_finite_and_positive(self, dense):
         query = cycle_query(12)
         profile = analyze_component(query)
-        for engine in ("backtracking", "treewidth", "acyclic"):
+        for engine in ENGINES:
             cost = estimate_cost(engine, query, profile, dense)
             assert 0 < cost <= 1e18
 
     def test_unknown_engine_rejected(self, dense):
         query = path_query(2)
         profile = analyze_component(query)
-        with pytest.raises(ValueError, match="no cost model"):
-            estimate_cost("quantum", query, profile, dense)
+        for engine in ("quantum", "acyclic"):
+            with pytest.raises(ValueError, match="no cost model"):
+                estimate_cost(engine, query, profile, dense)
 
 
 class TestPlan:
@@ -327,22 +294,20 @@ class TestPlanCounters:
             "plan.components",
             "plan.cache_hits",
             "plan.cache_misses",
-            "plan.selected.backtracking",
-            "plan.selected.treewidth",
-            "plan.selected.acyclic",
+            *(f"plan.selected.{engine}" for engine in ENGINES),
         ):
             assert name in metrics, f"{name} not pre-registered"
         assert metrics["plan.calls"]["value"] == 1
         assert metrics["plan.components"]["value"] == 1
         assert metrics["plan.selected.treewidth"]["value"] == 0
+        assert "plan.selected.acyclic" not in metrics
 
     def test_auto_count_records_selection(self, edge_path):
         with observe() as observation:
             count(path_query(5), edge_path, engine="auto")
         metrics = observation.report()["metrics"]
         selected = sum(
-            metrics[f"plan.selected.{name}"]["value"]
-            for name in ("backtracking", "treewidth", "acyclic", "compiled")
+            metrics[f"plan.selected.{name}"]["value"] for name in ENGINES
         )
         assert selected == 1
         assert metrics["plan.components"]["value"] == 1
@@ -458,6 +423,30 @@ class TestExplainCli:
         assert exit_code == 0
         out = capsys.readouterr().out
         assert "inline database (2 facts)" in out
+
+    def test_evaluate_auto_stats_json_selects_one_engine(self, tmp_path):
+        from repro.cli import main
+
+        artifact = tmp_path / "plan_obs.json"
+        exit_code = main(
+            [
+                "evaluate",
+                "--query",
+                "E(x,y) & E(y,z)",
+                "--facts",
+                "E(a,b) E(b,c) E(c,a)",
+                "--engine",
+                "auto",
+                "--stats-json",
+                str(artifact),
+            ]
+        )
+        assert exit_code == 0
+        metrics = json.loads(artifact.read_text())["metrics"]
+        selected = sum(
+            metrics[f"plan.selected.{name}"]["value"] for name in ENGINES
+        )
+        assert selected == metrics["plan.components"]["value"] == 1, metrics
 
     def test_evaluate_accepts_auto(self, capsys):
         from repro.cli import main

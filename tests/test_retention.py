@@ -41,7 +41,7 @@ import repro
 import repro.homomorphism.cache as cache_module
 from repro.deadline import FLIGHT
 from repro.errors import DeadlineExpired
-from repro.homomorphism import count
+from repro.homomorphism import count, count_homomorphisms_acyclic
 from repro.homomorphism.backtracking import count_homomorphisms
 from repro.homomorphism.cache import (
     CountCache,
@@ -50,6 +50,7 @@ from repro.homomorphism.cache import (
 )
 from repro.homomorphism.compiled import compile_component, refresh_component
 from repro.homomorphism.delta import DeltaEvaluator
+from repro.homomorphism.engine import ENGINES
 from repro.planner import PlanCache, select_for
 from repro.obs import activate
 from repro.obs.metrics import Registry
@@ -58,7 +59,12 @@ from repro.queries import ConjunctiveQuery, parse_query
 from repro.relational import Schema, Structure
 from repro.relational.isomorphism import find_isomorphism
 from repro.relational.structure import Delta
-from repro.service import EvaluationServer, ServerConfig, ServiceClient
+from repro.service import (
+    EvaluationServer,
+    ServerConfig,
+    ServiceClient,
+    ServiceUnavailable,
+)
 from repro.service.protocol import request_key
 from tests.conftest import wait_for
 
@@ -515,8 +521,8 @@ def _complete_graph(n: int) -> _WeakStructure:
     return _graph(edges, n, _WeakStructure)
 
 
-#: Acyclic, so every engine counts it; its tree decomposition has three
-#: bags.
+#: Acyclic, so the Yannakakis reference counts it too; its tree
+#: decomposition has three bags.
 PATH4 = "E(a, b) & E(b, c) & E(c, d)"
 #: A pentagon with an inequality: ``auto`` counts it by the DP.
 PENTAGON = "E(a, b) & E(b, c) & E(c, d) & E(d, e) & E(e, a) & a != c"
@@ -570,10 +576,7 @@ def _evaluate(query: str, engine: str = "auto", **fields) -> tuple:
 #: database's load, read and update, a 400, a 422 at parse time and at
 #: run time, and a count cancelled at its deadline on three engines.
 SHAPES = [
-    *(
-        (*_evaluate(PATH4, engine), 200)
-        for engine in ("backtracking", "treewidth", "acyclic", "compiled")
-    ),
+    *((*_evaluate(PATH4, engine), 200) for engine in ENGINES),
     (*_evaluate(PENTAGON), 200),
     (
         "evaluate",
@@ -639,7 +642,10 @@ class TestNoReferenceCycles:
         with _collector_off(), activate(registry):
             token = FLIGHT.set(_Expired() if stopped else None)
             try:
-                count(query, structure, engine=engine)
+                if engine == "acyclic":
+                    count_homomorphisms_acyclic(query, structure)
+                else:
+                    count(query, structure, engine=engine)
             except DeadlineExpired:
                 assert stopped
             else:
@@ -681,6 +687,36 @@ class TestNoReferenceCycles:
             found = gc.collect()
             kinds = collections.Counter(type(item).__name__ for item in gc.garbage)
             assert found == 0, kinds.most_common(8)
+
+    def test_a_shed_client_request_leaves_no_cycles(self, gate):
+        held = gate("evaluate")
+        with EvaluationServer(ServerConfig(workers=1, queue_depth=1)) as server:
+            leader = threading.Thread(
+                target=_post, args=(server.url, *_evaluate(PATH4))
+            )
+            leader.start()
+            try:
+                assert held.entered.wait(timeout=30)
+                # Its only waiter leaves at the deadline; the job keeps
+                # the one queue slot, so the next request is shed.
+                assert _post(server.url, *_evaluate(PENTAGON, deadline_ms=50)) == 504
+                client = ServiceClient(server.url, retries=0)
+                kind = None
+                with _collector_off(save_all=True):
+                    try:
+                        client.evaluate(parse_query("E(x, x)"), _graph({(0, 1)}))
+                    except ServiceUnavailable as error:
+                        kind = error.kind
+                    found = gc.collect()
+                    kinds = collections.Counter(
+                        type(item).__name__ for item in gc.garbage
+                    )
+            finally:
+                held.opened.set()
+                leader.join(timeout=60)
+        assert not leader.is_alive()
+        assert kind == "overloaded"
+        assert found == 0, kinds.most_common(8)
 
     def test_recursive_closures_unlink_themselves(self):
         """Statically, for paths no other test runs: a nested function

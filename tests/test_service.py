@@ -243,25 +243,44 @@ class TestErrorEnvelope:
 
 
 class TestCoalescing:
-    def test_identical_requests_single_flight(self):
+    """The first flight is held at a gate until every other request has
+    been admitted or has joined it, so which requests share a flight is
+    determined, not raced."""
+
+    @staticmethod
+    def _fire(server, queries) -> tuple[list[threading.Thread], list[int]]:
+        results: list[int] = []
+
+        def fire(query):
+            results.append(
+                ServiceClient(server.url).evaluate(
+                    query, GRAPH, engine="backtracking", cache=False
+                )
+            )
+
+        threads = [
+            threading.Thread(target=fire, args=(query,)) for query in queries
+        ]
+        return threads, results
+
+    @staticmethod
+    def _counter(server, name: str) -> int:
+        return server.registry.counter(name).value
+
+    def test_identical_requests_single_flight(self, gate):
+        held = gate("evaluate")
         config = ServerConfig(workers=2, queue_depth=32)
         with EvaluationServer(config) as server:
-            results: list[int] = []
-            barrier = threading.Barrier(8)
-
-            def fire():
-                barrier.wait()
-                results.append(
-                    ServiceClient(server.url).evaluate(
-                        SLOW_QUERY, GRAPH, engine="backtracking", cache=False
-                    )
-                )
-
-            threads = [threading.Thread(target=fire) for _ in range(8)]
-            for thread in threads:
+            threads, results = self._fire(server, [SLOW_QUERY] * 8)
+            threads[0].start()
+            assert held.entered.wait(timeout=30)
+            for thread in threads[1:]:
                 thread.start()
+            wait_for(lambda: self._counter(server, "service.coalesced") == 7)
+            held.opened.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             metrics = ServiceClient(server.url).metrics()["metrics"]
             assert len(set(results)) == 1
             assert results[0] == count(SLOW_QUERY, GRAPH)
@@ -270,53 +289,42 @@ class TestCoalescing:
             assert coalesced >= 1
             assert admitted + coalesced == 8
 
-    def test_alpha_equivalent_requests_coalesce(self):
+    def test_alpha_equivalent_requests_coalesce(self, gate):
         """Renamed copies of a query share a flight — the cache-key discipline."""
+        held = gate("evaluate")
         with EvaluationServer(ServerConfig(workers=1, queue_depth=32)) as server:
             renamed = [
                 cycle_query(6, prefix=f"v{index}_") for index in range(6)
             ]
-            results: list[int] = []
-            barrier = threading.Barrier(6)
-
-            def fire(query):
-                barrier.wait()
-                results.append(
-                    ServiceClient(server.url).evaluate(
-                        query, GRAPH, engine="backtracking", cache=False
-                    )
-                )
-
-            threads = [
-                threading.Thread(target=fire, args=(query,)) for query in renamed
-            ]
-            for thread in threads:
+            threads, results = self._fire(server, renamed)
+            threads[0].start()
+            assert held.entered.wait(timeout=30)
+            for thread in threads[1:]:
                 thread.start()
+            wait_for(lambda: self._counter(server, "service.coalesced") == 5)
+            held.opened.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             assert len(set(results)) == 1
             metrics = ServiceClient(server.url).metrics()["metrics"]
             assert metrics["service.coalesced"]["value"] >= 1
 
-    def test_coalescing_can_be_disabled(self):
+    def test_coalescing_can_be_disabled(self, gate):
+        held = gate("evaluate")
         config = ServerConfig(workers=2, queue_depth=32, coalesce=False)
         with EvaluationServer(config) as server:
-            barrier = threading.Barrier(4)
-            results: list[int] = []
-
-            def fire():
-                barrier.wait()
-                results.append(
-                    ServiceClient(server.url).evaluate(
-                        SLOW_QUERY, GRAPH, engine="backtracking", cache=False
-                    )
-                )
-
-            threads = [threading.Thread(target=fire) for _ in range(4)]
-            for thread in threads:
+            threads, results = self._fire(server, [SLOW_QUERY] * 4)
+            threads[0].start()
+            assert held.entered.wait(timeout=30)
+            for thread in threads[1:]:
                 thread.start()
+            # All four in flight at once: two held, two queued.
+            wait_for(lambda: self._counter(server, "service.admitted") == 4)
+            held.opened.set()
             for thread in threads:
-                thread.join()
+                thread.join(timeout=60)
+                assert not thread.is_alive()
             metrics = ServiceClient(server.url).metrics()["metrics"]
             assert metrics["service.coalesced"]["value"] == 0
             assert metrics["service.admitted"]["value"] == 4
