@@ -760,7 +760,7 @@ def _positive_int(text: str) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    from repro.homomorphism.engine import ENGINES
+    from repro.homomorphism import ENGINES
 
     engines = ("auto", *ENGINES)
     parser = argparse.ArgumentParser(

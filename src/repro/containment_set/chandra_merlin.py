@@ -29,8 +29,7 @@ apply to them), unknown engine names raise
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._value import Value
 from repro.containment_set.cache import ContainmentCache, containment_cache_key
 from repro.errors import QueryError
 from repro.homomorphism.backtracking import enumerate_homomorphisms
@@ -66,14 +65,15 @@ def encode_witness(witness: tuple[tuple[Variable, Term], ...] | None):
     }
 
 
-@dataclass(frozen=True)
-class AbsenceCertificate:
+class AbsenceCertificate(Value):
     """Evidence that ``φ_s ⊄ φ_b``: a database separating the two.
 
     ``structure`` is ``canonical(φ_s)``; ``lhs = φ_s(structure) ≥ 1`` and
     ``rhs = φ_b(structure) = 0``, so the certificate refutes *bag*
     containment (any ``multiplier ≥ 1``, ``additive ≤ 0``) as well.
     """
+
+    __slots__ = ("structure", "lhs", "rhs")
 
     structure: Structure
     lhs: int
@@ -87,9 +87,10 @@ class AbsenceCertificate:
         }
 
 
-@dataclass(frozen=True)
-class CQContainment:
+class CQContainment(Value):
     """One answered containment question, with its checkable evidence."""
+
+    __slots__ = ("contained", "engine", "witness", "certificate")
 
     contained: bool
     engine: str

@@ -20,9 +20,9 @@ disjuncts are dropped from both sides before the reduction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
+from repro._value import Value
 from repro.containment_set.cache import ContainmentCache
 from repro.containment_set.chandra_merlin import (
     AbsenceCertificate,
@@ -40,9 +40,10 @@ from repro.queries.ucq import UnionOfConjunctiveQueries
 __all__ = ["DisjunctCoverage", "UCQContainment", "ucq_containment", "ucq_contained"]
 
 
-@dataclass(frozen=True)
-class DisjunctCoverage:
+class DisjunctCoverage(Value):
     """How one left disjunct fared: which right disjunct covers it, if any."""
+
+    __slots__ = ("disjunct", "container", "witness")
 
     disjunct: int
     container: int | None
@@ -60,9 +61,10 @@ class DisjunctCoverage:
         }
 
 
-@dataclass(frozen=True)
-class UCQContainment:
+class UCQContainment(Value):
     """The full coverage matrix of one UCQ ⊆ UCQ question."""
+
+    __slots__ = ("contained", "engine", "coverage", "certificate")
 
     contained: bool
     engine: str

@@ -1,42 +1,32 @@
 """Semi-decision procedures: search, bounded verification, certificates."""
 
-from repro.decision.bounded import BoundedVerdict, verify_bounded
-from repro.decision.certificates import Certificate, Verdict, decide_bag_containment
-from repro.decision.equivalence import (
-    are_isomorphic,
-    bag_equivalent,
-    core,
-    find_isomorphism,
-    set_equivalent,
-)
-from repro.decision.hde import HdeEstimate, hde_upper_bound, variable_ratio_bound
-from repro.decision.projection_free import projection_free_contained
-from repro.decision.search import (
-    SearchOutcome,
-    amplified,
-    enumerate_structures,
-    find_counterexample,
-    random_structures,
-)
+from repro import _lazy
 
-__all__ = [
-    "BoundedVerdict",
-    "Certificate",
-    "HdeEstimate",
-    "SearchOutcome",
-    "Verdict",
-    "amplified",
-    "are_isomorphic",
-    "bag_equivalent",
-    "core",
-    "decide_bag_containment",
-    "enumerate_structures",
-    "find_isomorphism",
-    "hde_upper_bound",
-    "projection_free_contained",
-    "find_counterexample",
-    "random_structures",
-    "set_equivalent",
-    "variable_ratio_bound",
-    "verify_bounded",
-]
+#: Where each re-exported name lives.  Resolved on first attribute access
+#: (PEP 562), as in the package root, so a server's ``/decide`` handler
+#: loads the search without the other procedures.
+_EXPORTS = {
+    "BoundedVerdict": "repro.decision.bounded",
+    "Certificate": "repro.decision.certificates",
+    "HdeEstimate": "repro.decision.hde",
+    "SearchOutcome": "repro.decision.search",
+    "Verdict": "repro.decision.certificates",
+    "amplified": "repro.decision.search",
+    "are_isomorphic": "repro.decision.equivalence",
+    "bag_equivalent": "repro.decision.equivalence",
+    "core": "repro.decision.equivalence",
+    "decide_bag_containment": "repro.decision.certificates",
+    "enumerate_structures": "repro.decision.search",
+    "find_isomorphism": "repro.decision.equivalence",
+    "hde_upper_bound": "repro.decision.hde",
+    "projection_free_contained": "repro.decision.projection_free",
+    "find_counterexample": "repro.decision.search",
+    "random_structures": "repro.decision.search",
+    "set_equivalent": "repro.decision.equivalence",
+    "variable_ratio_bound": "repro.decision.hde",
+    "verify_bounded": "repro.decision.bounded",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

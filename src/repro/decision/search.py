@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
+from repro._value import Value
 from repro.deadline import check
 from repro.errors import BagCQError, DeadlineExpired, SearchBudgetExceeded
 from repro.homomorphism.batch import count_many
@@ -135,14 +135,16 @@ def amplified(
                 yield blowup(boosted, factor) if factor > 1 else boosted
 
 
-@dataclass(frozen=True)
-class SearchOutcome:
+class SearchOutcome(Value):
     """Result of a bounded counterexample search."""
+
+    __slots__ = ("counterexample", "checked", "lhs", "rhs")
+    _defaults = {"lhs": None, "rhs": None}
 
     counterexample: Structure | None
     checked: int
-    lhs: int | None = None
-    rhs: int | None = None
+    lhs: int | None
+    rhs: int | None
 
     @property
     def found(self) -> bool:

@@ -2,6 +2,13 @@
 
 from repro import _lazy
 
+#: The counting engines' names in the planner's preference order: of two
+#: engines with equal estimated cost, the earlier one is picked.  Every
+#: list of engines derives from this one.  :mod:`repro.homomorphism.engine`
+#: maps each name to its counter; the names live here so that listing
+#: them (the CLI's ``--engine`` choices) loads no engine.
+ENGINES = ("backtracking", "treewidth", "compiled")
+
 #: Where each re-exported name lives.  Resolved on first attribute access
 #: (PEP 562), as in the package root, so importing one submodule runs
 #: this file without loading its siblings: a server loads the cache and
@@ -40,4 +47,4 @@ _EXPORTS = {
 
 __getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
 
-__all__ = list(_EXPORTS)
+__all__ = ["ENGINES", *_EXPORTS]

@@ -34,8 +34,8 @@ Observability (under an active registry): ``delta.applied``,
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass
 
+from repro._value import Value
 from repro.homomorphism.cache import (
     ComponentKey,
     CountCache,
@@ -133,9 +133,18 @@ def delta_affects(
     return _changes_match(atoms, relations, delta, structure)
 
 
-@dataclass(frozen=True)
-class DeltaReport:
+class DeltaReport(Value):
     """What one :meth:`DeltaEvaluator.apply` did."""
+
+    __slots__ = (
+        "version",
+        "touched_relations",
+        "domain_changed",
+        "invalidated",
+        "migrated",
+        "refreshed_artifacts",
+        "fingerprint",
+    )
 
     version: int
     touched_relations: tuple[str, ...]

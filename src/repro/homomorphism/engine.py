@@ -30,6 +30,7 @@ import itertools
 from typing import Union
 
 from repro.errors import EvaluationError
+from repro.homomorphism import ENGINES
 from repro.homomorphism.backtracking import count_homomorphisms
 from repro.homomorphism.compiled import count_homomorphisms_compiled
 from repro.homomorphism.treewidth_dp import count_homomorphisms_td
@@ -44,17 +45,17 @@ __all__ = ["count", "evaluate", "count_ucq", "Engine", "ENGINES"]
 
 Countable = Union[ConjunctiveQuery, QueryProduct]
 
-#: Each engine's counter, in the planner's preference order: of two
-#: engines with equal estimated cost, the earlier one is picked.
+#: Each engine's counter, keyed in the order of :data:`ENGINES`.
 _ENGINES = {
     "backtracking": count_homomorphisms,
     "treewidth": count_homomorphisms_td,
     "compiled": count_homomorphisms_compiled,
 }
-
-#: The engine names in preference order: every list of engines derives
-#: from this one.
-ENGINES = tuple(_ENGINES)
+if tuple(_ENGINES) != ENGINES:
+    raise ImportError(
+        f"engine counters {tuple(_ENGINES)} do not match "
+        f"repro.homomorphism.ENGINES {ENGINES}"
+    )
 
 #: An ``engine=`` argument: a name in :data:`ENGINES`, or ``"auto"``.
 Engine = str

@@ -17,8 +17,7 @@ share one analysis, exactly as their counts share one evaluation in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from repro._value import Value
 from repro.homomorphism.acyclic import join_tree
 from repro.homomorphism.cache import (
     SegmentedLRU,
@@ -51,10 +50,17 @@ DEFAULT_COMPILED_CACHE_SIZE = 256
 COMPILED_PROBATION = 16
 
 
-@dataclass(frozen=True, slots=True)
-class ComponentProfile:
+class ComponentProfile(Value):
     """What the cost model needs to know about one connected component,
     beyond its atoms (the cost model reads those off the component)."""
+
+    __slots__ = (
+        "atom_count",
+        "variable_count",
+        "inequality_count",
+        "acyclic",
+        "treewidth_bound",
+    )
 
     atom_count: int
     variable_count: int

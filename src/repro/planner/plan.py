@@ -30,9 +30,9 @@ one per planning call, so traces stay small.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Union
 
+from repro._value import Value
 from repro.errors import EvaluationError
 from repro.homomorphism.engine import ENGINES
 from repro.obs import metrics as obs_metrics
@@ -98,16 +98,18 @@ def _preregister_counters() -> None:
             registry.counter(name)
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Value):
     """One component's slice of a plan: what runs where, and why."""
+
+    __slots__ = ("component", "engine", "est_cost", "profile", "exponent")
+    _defaults = {"exponent": 1}
 
     component: ConjunctiveQuery
     engine: str
     est_cost: float
     profile: ComponentProfile
     #: Exponent the component's count is raised to (lazy ``↑ k`` factors).
-    exponent: int = 1
+    exponent: int
 
     def describe(self) -> str:
         power = f" ^{self.exponent}" if self.exponent != 1 else ""
@@ -136,9 +138,10 @@ class PlanStep:
         }
 
 
-@dataclass(frozen=True)
-class Plan:
+class Plan(Value):
     """An executable evaluation plan: one engine-assigned step per component."""
+
+    __slots__ = ("steps", "cache_hits", "cache_misses")
 
     steps: tuple[PlanStep, ...]
     cache_hits: int

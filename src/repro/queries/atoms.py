@@ -9,7 +9,6 @@ atoms because the theorems count them ("with at most one inequality").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterator
 
 from repro.errors import QueryError
@@ -18,23 +17,45 @@ from repro.queries.terms import Constant, Term, Variable
 __all__ = ["Atom", "Inequality"]
 
 
-@dataclass(frozen=True)
 class Atom:
     """A relational atom ``relation(terms…)``."""
+
+    __slots__ = ("relation", "terms")
 
     relation: str
     terms: tuple[Term, ...]
 
-    def __post_init__(self) -> None:
-        if not self.relation:
+    def __init__(self, relation: str, terms: tuple[Term, ...]) -> None:
+        if not relation:
             raise QueryError("atom needs a relation name")
-        if not self.terms:
-            raise QueryError(f"atom of {self.relation!r} needs at least one term")
-        for term in self.terms:
+        if not terms:
+            raise QueryError(f"atom of {relation!r} needs at least one term")
+        for term in terms:
             if not isinstance(term, (Variable, Constant)):
                 raise QueryError(
                     f"atom term {term!r} is not a Variable or Constant"
                 )
+        object.__setattr__(self, "relation", relation)
+        object.__setattr__(self, "terms", terms)
+
+    def __setattr__(self, key: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # The guard above breaks pickle's default slot-state restore; the
+        # process pool in :mod:`repro.homomorphism.batch` ships queries.
+        return (type(self), (self.relation, self.terms))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.relation, self.terms) == (other.relation, other.terms)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.relation, self.terms))
+
+    def __repr__(self) -> str:
+        return f"Atom(relation={self.relation!r}, terms={self.terms!r})"
 
     @property
     def arity(self) -> int:
@@ -68,7 +89,6 @@ class Atom:
         return (self.relation, self.terms) < (other.relation, other.terms)
 
 
-@dataclass(frozen=True)
 class Inequality:
     """The atomic formula ``left ≠ right``.
 
@@ -76,18 +96,37 @@ class Inequality:
     compare equal, matching the symmetric semantics.
     """
 
+    __slots__ = ("left", "right")
+
     left: Term
     right: Term
 
-    def __post_init__(self) -> None:
-        for term in (self.left, self.right):
+    def __init__(self, left: Term, right: Term) -> None:
+        for term in (left, right):
             if not isinstance(term, (Variable, Constant)):
                 raise QueryError(f"inequality term {term!r} is not a term")
         first, second = sorted(
-            (self.left, self.right), key=lambda t: (t.is_constant(), t.name)
+            (left, right), key=lambda t: (t.is_constant(), t.name)
         )
         object.__setattr__(self, "left", first)
         object.__setattr__(self, "right", second)
+
+    def __setattr__(self, key: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        return (type(self), (self.left, self.right))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.left, self.right) == (other.left, other.right)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
+
+    def __repr__(self) -> str:
+        return f"Inequality(left={self.left!r}, right={self.right!r})"
 
     def is_trivially_false(self) -> bool:
         """``t ≠ t`` can never be satisfied."""

@@ -14,7 +14,6 @@ and :meth:`Schema.is_disjoint_from` are first-class operations.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.errors import ArityError, SchemaError
@@ -22,7 +21,6 @@ from repro.errors import ArityError, SchemaError
 __all__ = ["RelationSymbol", "Schema"]
 
 
-@dataclass(frozen=True, order=True)
 class RelationSymbol:
     """A relation name together with its arity.
 
@@ -30,16 +28,58 @@ class RelationSymbol:
     RelationSymbol(name='E', arity=2)
     """
 
+    __slots__ = ("name", "arity")
+
     name: str
     arity: int
 
-    def __post_init__(self) -> None:
-        if not self.name:
+    def __init__(self, name: str, arity: int) -> None:
+        if not name:
             raise SchemaError("relation symbol needs a non-empty name")
-        if self.arity < 1:
+        if arity < 1:
             raise SchemaError(
-                f"relation {self.name!r} needs arity >= 1, got {self.arity}"
+                f"relation {name!r} needs arity >= 1, got {arity}"
             )
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "arity", arity)
+
+    def __setattr__(self, key: str, value) -> None:
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __reduce__(self):
+        # The guard above breaks pickle's default slot-state restore.
+        return (type(self), (self.name, self.arity))
+
+    def __eq__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.arity) == (other.name, other.arity)  # type: ignore[attr-defined]
+
+    def __lt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.arity) < (other.name, other.arity)  # type: ignore[attr-defined]
+
+    def __le__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.arity) <= (other.name, other.arity)  # type: ignore[attr-defined]
+
+    def __gt__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.arity) > (other.name, other.arity)  # type: ignore[attr-defined]
+
+    def __ge__(self, other: object) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self.name, self.arity) >= (other.name, other.arity)  # type: ignore[attr-defined]
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.arity))
+
+    def __repr__(self) -> str:
+        return f"RelationSymbol(name={self.name!r}, arity={self.arity!r})"
 
     def __str__(self) -> str:
         return f"{self.name}/{self.arity}"

@@ -12,9 +12,9 @@ Structures are immutable value objects; bulk construction goes through
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Hashable, Iterable, Iterator, Mapping
 
+from repro._value import Value
 from repro.errors import ConstantError, SchemaError
 from repro.naming import HEART, SPADE
 from repro.relational.schema import RelationSymbol, Schema
@@ -56,8 +56,7 @@ def _relation_base(symbol: RelationSymbol) -> int:
     return _digest(("relation", symbol.name, symbol.arity))
 
 
-@dataclass(frozen=True)
-class Delta:
+class Delta(Value):
     """A batch of mutations against a :class:`Structure`.
 
     Semantics (in application order):
@@ -81,12 +80,20 @@ class Delta:
     False
     """
 
-    inserts: tuple[Fact, ...] = ()
-    deletes: tuple[Fact, ...] = ()
-    add_elements: tuple[Element, ...] = ()
-    remove_elements: tuple[Element, ...] = ()
+    _defaults = {
+        "inserts": (),
+        "deletes": (),
+        "add_elements": (),
+        "remove_elements": (),
+    }
+    __slots__ = tuple(_defaults)
 
-    def __post_init__(self) -> None:
+    inserts: tuple[Fact, ...]
+    deletes: tuple[Fact, ...]
+    add_elements: tuple[Element, ...]
+    remove_elements: tuple[Element, ...]
+
+    def _check(self) -> None:
         object.__setattr__(
             self,
             "inserts",

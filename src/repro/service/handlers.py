@@ -18,9 +18,9 @@ as the only addition — and caching never changes a count.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
+from repro._value import Value
 from repro.errors import SearchBudgetExceeded
 from repro.homomorphism.cache import CountCache, canonical_component
 from repro.homomorphism.engine import count, count_ucq
@@ -49,9 +49,10 @@ __all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
 MAX_DECIDE_TUPLES = 1 << 16
 
 
-@dataclass(frozen=True)
-class ParsedRequest:
+class ParsedRequest(Value):
     """One admitted unit of work: identity for coalescing, thunk to run."""
+
+    __slots__ = ("endpoint", "key", "run")
 
     endpoint: str
     key: tuple

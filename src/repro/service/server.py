@@ -53,8 +53,8 @@ import queue
 import threading
 import time
 from collections import OrderedDict
-from dataclasses import dataclass
 
+from repro._value import Value
 from repro.deadline import FLIGHT
 from repro.errors import BagCQError, DeadlineExpired
 from repro.homomorphism.cache import DEFAULT_CACHE_SIZE, CountCache
@@ -99,36 +99,38 @@ _DELTA_COUNTERS = (
 )
 
 
-@dataclass(frozen=True)
-class ServerConfig:
+class ServerConfig(Value):
     """Tuning knobs of one :class:`EvaluationServer` (see docs/SERVICE.md)."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 → ephemeral; read the bound port off `.address`
-    workers: int = 4
-    #: Jobs allowed to wait for a worker; beyond this, requests are shed.
-    queue_depth: int = 64
-    #: Applied when a request carries no ``deadline_ms`` of its own.
-    default_deadline_ms: int = 30_000
-    #: Hard ceiling on any requested deadline.
-    max_deadline_ms: int = 300_000
-    #: Single-flight coalescing of identical in-flight requests.
-    coalesce: bool = True
-    #: ``Retry-After`` hint (seconds) sent with 429/503 envelopes.
-    retry_after_s: float = 0.05
-    count_cache_size: int = DEFAULT_CACHE_SIZE
-    #: Completed request traces held for ``GET /traces`` (flight recorder).
-    trace_buffer: int = 128
-    #: Request ids remembered for retry recognition (LRU-bounded).
-    recent_ids: int = 1024
-    #: Named databases resident at once (``POST /db``); loads beyond this
-    #: are rejected unless they rebind an existing name.
-    max_databases: int = DEFAULT_MAX_DATABASES
-    #: Root of the durable cache tier (``repro.shard.persist``).  When
-    #: set, the count/plan/containment caches warm-restore from it at
-    #: startup, write through to it, and ``POST /snapshot`` bulk-syncs
-    #: it; ``None`` (the default) keeps all caches memory-only.
-    snapshot_dir: str | None = None
+    _defaults = {
+        "host": "127.0.0.1",
+        "port": 0,  # 0 → ephemeral; read the bound port off `.address`
+        "workers": 4,
+        #: Jobs allowed to wait for a worker; beyond this, requests are shed.
+        "queue_depth": 64,
+        #: Applied when a request carries no ``deadline_ms`` of its own.
+        "default_deadline_ms": 30_000,
+        #: Hard ceiling on any requested deadline.
+        "max_deadline_ms": 300_000,
+        #: Single-flight coalescing of identical in-flight requests.
+        "coalesce": True,
+        #: ``Retry-After`` hint (seconds) sent with 429/503 envelopes.
+        "retry_after_s": 0.05,
+        "count_cache_size": DEFAULT_CACHE_SIZE,
+        #: Completed request traces held for ``GET /traces`` (flight recorder).
+        "trace_buffer": 128,
+        #: Request ids remembered for retry recognition (LRU-bounded).
+        "recent_ids": 1024,
+        #: Named databases resident at once (``POST /db``); loads beyond this
+        #: are rejected unless they rebind an existing name.
+        "max_databases": DEFAULT_MAX_DATABASES,
+        #: Root of the durable cache tier (``repro.shard.persist``).  When
+        #: set, the count/plan/containment caches warm-restore from it at
+        #: startup, write through to it, and ``POST /snapshot`` bulk-syncs
+        #: it; ``None`` (the default) keeps all caches memory-only.
+        "snapshot_dir": None,
+    }
+    __slots__ = tuple(_defaults)
 
 
 class _Flight:

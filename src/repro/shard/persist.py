@@ -35,9 +35,9 @@ from __future__ import annotations
 import hashlib
 import json
 import threading
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro._value import Value
 from repro.errors import BagCQError
 from repro.homomorphism.cache import ComponentKey, key_scope
 from repro.obs import metrics as obs_metrics
@@ -196,12 +196,11 @@ def _require(condition: bool, message: str) -> None:
         raise SnapshotError(message)
 
 
-@dataclass(frozen=True)
-class RestoreReport:
+class RestoreReport(Value):
     """What one tier's restore pass did."""
 
-    loaded: int = 0
-    rejected: int = 0
+    _defaults = {"loaded": 0, "rejected": 0}
+    __slots__ = tuple(_defaults)
 
     def to_dict(self) -> dict:
         return {"loaded": self.loaded, "rejected": self.rejected}

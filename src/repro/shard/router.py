@@ -40,9 +40,9 @@ import time
 import urllib.error
 import urllib.request
 from bisect import bisect_left
-from dataclasses import dataclass
 from pathlib import Path
 
+from repro._value import Value
 from repro.errors import BagCQError
 from repro.io import query_from_dict
 from repro.obs.metrics import Registry, quantile_from_bucket_counts
@@ -79,29 +79,31 @@ _FORWARDED_HEADERS = (
 )
 
 
-@dataclass(frozen=True)
-class RouterConfig:
+class RouterConfig(Value):
     """Tuning knobs of one :class:`ShardRouter` (see docs/SERVICE.md)."""
 
-    host: str = "127.0.0.1"
-    port: int = 0  # 0 → ephemeral; read the bound port off `.address`
-    #: Worker subprocesses behind the router.
-    shards: int = 2
-    #: Worker *threads* inside each subprocess (the existing pool knob).
-    workers_per_shard: int = 4
-    queue_depth: int = 64
-    default_deadline_ms: int = 30_000
-    coalesce: bool = True
-    #: Root of the durable tier; each shard gets ``shard-NN/`` under it
-    #: (the ring is index-stable, so a restarted fleet warm-starts each
-    #: shard from exactly its own slice of the α-class space).
-    snapshot_dir: str | None = None
-    #: Ring points per shard; more points → smoother key spread.
-    virtual_nodes: int = 64
-    ready_timeout_s: float = 30.0
-    #: Per-attempt proxy timeout; above the service's max deadline so
-    #: the worker's own deadline machinery answers first.
-    proxy_timeout_s: float = 310.0
+    _defaults = {
+        "host": "127.0.0.1",
+        "port": 0,  # 0 → ephemeral; read the bound port off `.address`
+        #: Worker subprocesses behind the router.
+        "shards": 2,
+        #: Worker *threads* inside each subprocess (the existing pool knob).
+        "workers_per_shard": 4,
+        "queue_depth": 64,
+        "default_deadline_ms": 30_000,
+        "coalesce": True,
+        #: Root of the durable tier; each shard gets ``shard-NN/`` under it
+        #: (the ring is index-stable, so a restarted fleet warm-starts each
+        #: shard from exactly its own slice of the α-class space).
+        "snapshot_dir": None,
+        #: Ring points per shard; more points → smoother key spread.
+        "virtual_nodes": 64,
+        "ready_timeout_s": 30.0,
+        #: Per-attempt proxy timeout; above the service's max deadline so
+        #: the worker's own deadline machinery answers first.
+        "proxy_timeout_s": 310.0,
+    }
+    __slots__ = tuple(_defaults)
 
 
 # -- routing keys ----------------------------------------------------------

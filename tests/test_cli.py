@@ -460,9 +460,52 @@ class TestServiceCommands:
         payload = json.loads(capsys.readouterr().out)
         assert payload["verdict"] in ("counterexample", "exhausted")
 
+    def test_call_contain(self, capsys, server):
+        import json
+
+        from repro.service import ServiceClient
+
+        def call(phi_s: str, phi_b: str) -> str:
+            argv = ["call", "contain", "--url", server.url]
+            assert main([*argv, "--phi-s", phi_s, "--phi-b", phi_b]) == 0
+            return capsys.readouterr().out
+
+        contained = call("E(x,y) & E(y,x)", "E(x,y)")
+        assert '"contained": true' in contained
+        assert '"witness"' in contained
+        assert sorted(json.loads(contained)["witness"]) == ["x", "y"]
+        refuted = call("E(x,y)", "E(x,y) & E(y,x)")
+        assert '"contained": false' in refuted
+        assert '"certificate"' in refuted
+        certificate = json.loads(refuted)["certificate"]
+        assert (certificate["lhs"], certificate["rhs"]) == (1, 0)
+
+        metrics = ServiceClient(server.url).metrics()["metrics"]
+        assert metrics["contain.cq_tests"]["value"] >= 2
+        assert metrics["contain.verdicts.contained"]["value"] >= 1
+        assert metrics["contain.verdicts.not_contained"]["value"] >= 1
+        assert any(name.startswith("service.request_ms.contain") for name in metrics)
+
     def test_call_evaluate_requires_query(self, server):
         with pytest.raises(SystemExit):
             main(["call", "evaluate", "--url", server.url])
+
+    def test_engine_choices_are_auto_and_every_engine(self):
+        import argparse
+
+        from repro.homomorphism.engine import ENGINES
+
+        def engine_choices(parser: argparse.ArgumentParser):
+            for action in parser._actions:
+                if "--engine" in action.option_strings:
+                    yield tuple(action.choices)
+                if isinstance(action, argparse._SubParsersAction):
+                    for subparser in action.choices.values():
+                        yield from engine_choices(subparser)
+
+        choices = list(engine_choices(build_parser()))
+        assert len(choices) >= 5
+        assert set(choices) == {("auto", *ENGINES)}
 
     def test_serve_parser_defaults(self):
         parser = build_parser()

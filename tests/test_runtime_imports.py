@@ -10,7 +10,9 @@ decision procedures, which the package root re-exports lazily.
 A single server (``bagcq serve`` without ``--shards``, and so every
 shard worker) also loads none of the stdlib it never uses: no OpenSSL
 (``ssl``, ``_hashlib``), no ``http.client``/``email`` header parsing,
-no ``urllib`` client, no process pool and no ``uuid``.
+no ``urllib`` client, no process pool and no ``uuid``.  No server,
+shard worker or router loads ``dataclasses`` and what it imports, on
+any endpoint: the records it builds are plain ``__slots__`` classes.
 """
 
 import os
@@ -37,12 +39,33 @@ UNUSED_BY_ONE_SERVER = (
     "uuid",
 )
 
+#: ``dataclasses`` and the modules it imports.
+DATACLASS_MACHINERY = ("dataclasses", "inspect", "ast", "dis", "tokenize", "copy")
+
+#: Every module a server, shard worker or router runs for any endpoint.
+SERVED_MODULES = (
+    "repro.cli, repro.service.server, repro.planner, repro.containment_set, "
+    "repro.homomorphism.delta, repro.decision.search, repro.shard"
+)
+
+#: Decision procedures that ``/decide`` does not run.
+DECISION_SIBLINGS = (
+    "repro.decision.bounded",
+    "repro.decision.certificates",
+    "repro.decision.equivalence",
+    "repro.decision.hde",
+    "repro.decision.projection_free",
+    "repro.homomorphism.surjective",
+)
+
 
 def _loaded_after_server_imports(
     names: tuple[str, ...],
     imports: str = "repro.cli, repro.service, repro.shard",
+    then: str = "",
 ) -> str:
-    """Which of ``names`` a fresh interpreter holds after ``imports``."""
+    """Which of ``names`` a fresh interpreter holds after ``imports``
+    and the statement ``then``."""
     environment = dict(os.environ)
     package_root = str(Path(repro.__file__).resolve().parent.parent)
     environment["PYTHONPATH"] = os.pathsep.join(
@@ -51,6 +74,7 @@ def _loaded_after_server_imports(
     probe = (
         "import sys\n"
         f"import {imports}\n"
+        f"{then}\n"
         f"print(sorted(name for name in {names!r} if name in sys.modules))\n"
     )
     result = subprocess.run(
@@ -80,11 +104,44 @@ def test_one_server_loads_no_unused_stdlib():
     assert loaded == "[]"
 
 
-def test_package_root_resolves_every_export():
-    namespace: dict = {}
-    exec("from repro import *", namespace)
-    assert sorted(name for name in namespace if name != "__builtins__") == sorted(
-        repro.__all__
+def test_servers_load_no_dataclass_machinery():
+    loaded = _loaded_after_server_imports(
+        DATACLASS_MACHINERY, imports=SERVED_MODULES
     )
-    assert repro.count is namespace["count"]
-    assert set(repro.__all__) <= set(dir(repro))
+    assert loaded == "[]"
+
+
+def test_decide_loads_only_the_search():
+    loaded = _loaded_after_server_imports(
+        DECISION_SIBLINGS, imports="repro.decision.search"
+    )
+    assert loaded == "[]"
+
+
+def test_building_the_cli_parser_loads_no_engine():
+    loaded = _loaded_after_server_imports(
+        ("repro.homomorphism.engine",),
+        imports="repro.cli",
+        then="repro.cli.build_parser()",
+    )
+    assert loaded == "[]"
+
+
+def _assert_resolves_every_export(package) -> None:
+    namespace: dict = {}
+    exec(f"from {package.__name__} import *", namespace)
+    assert sorted(name for name in namespace if name != "__builtins__") == sorted(
+        package.__all__
+    )
+    assert all(getattr(package, name) is namespace[name] for name in package.__all__)
+    assert set(package.__all__) <= set(dir(package))
+
+
+def test_package_root_resolves_every_export():
+    _assert_resolves_every_export(repro)
+
+
+def test_decision_root_resolves_every_export():
+    import repro.decision
+
+    _assert_resolves_every_export(repro.decision)

@@ -377,32 +377,38 @@ class TestAdmissionControl:
             metrics = ServiceClient(server.url).metrics()["metrics"]
             assert metrics["service.shed"]["value"] == len(shed)
 
-    def test_retrying_client_eventually_succeeds_after_shed(self):
-        # The retry budget (8 retries at the Retry-After hint) must outlast
-        # the drain: six SLOW_QUERY evaluations back to back on one worker,
-        # ~160 ms on a 2-vCPU VM.  At a 10 ms hint the budget was ~100 ms,
-        # so whether the last client got in depended on round-trip time.
+    def test_retrying_client_eventually_succeeds_after_shed(self, gate):
+        # The one worker is held at a gate with one job queued, so every
+        # later client is shed before any capacity frees.  Once the gate
+        # opens, one count fills the cache and the other five requests
+        # hit it, so the backlog drains within a few retry intervals: far
+        # inside the budget of 8 retries at the 50 ms Retry-After hint.
+        held = gate("evaluate")
         config = ServerConfig(
             workers=1, queue_depth=1, coalesce=False, retry_after_s=0.05
         )
         with EvaluationServer(config) as server:
-            barrier = threading.Barrier(6)
             values: list[int] = []
 
             def fire():
                 client = ServiceClient(server.url, retries=8, seed=7)
-                barrier.wait()
                 values.append(
-                    client.evaluate(
-                        SLOW_QUERY, GRAPH, engine="backtracking", cache=False
-                    )
+                    client.evaluate(SLOW_QUERY, GRAPH, engine="backtracking")
                 )
 
             threads = [threading.Thread(target=fire) for _ in range(6)]
-            for thread in threads:
+            threads[0].start()
+            assert held.entered.wait(timeout=10)
+            threads[1].start()
+            wait_for(lambda: server.health()["queued"] == 1)
+            shed = server.registry.counter("service.shed")
+            for thread in threads[2:]:
                 thread.start()
+            wait_for(lambda: shed.value >= 4)
+            held.opened.set()
             for thread in threads:
                 thread.join(timeout=120)
+                assert not thread.is_alive()
             assert values == [count(SLOW_QUERY, GRAPH)] * 6
 
 
@@ -423,42 +429,46 @@ class TestDeadlines:
             metrics = client.metrics()["metrics"]
             assert metrics["service.deadline_exceeded"]["value"] >= 1
 
-    def test_expired_queued_work_is_skipped(self):
+    def test_expired_queued_work_is_skipped(self, gate):
+        # The worker is held at a gate by a request without a short
+        # deadline while three 25 ms requests queue behind it and time
+        # out; when it is released, it skips the three expired jobs.
+        held = gate("evaluate")
         config = ServerConfig(workers=1, queue_depth=8, coalesce=False)
         with EvaluationServer(config) as server:
-            barrier = threading.Barrier(4)
-            failures = 0
+            timed_out: list[bool] = []
 
-            def fire():
-                nonlocal failures
+            def fire(deadline_ms: int | None):
                 client = ServiceClient(server.url, retries=0)
-                barrier.wait()
                 try:
                     client.evaluate(
                         cycle_query(7),
                         GRAPH,
                         engine="backtracking",
-                        deadline_ms=25,
+                        deadline_ms=deadline_ms,
                         cache=False,
                     )
                 except DeadlineExceeded:
-                    pass
+                    timed_out.append(True)
 
-            threads = [threading.Thread(target=fire) for _ in range(4)]
+            holder = threading.Thread(target=fire, args=(None,))
+            holder.start()
+            assert held.entered.wait(timeout=10)
+            threads = [threading.Thread(target=fire, args=(25,)) for _ in range(3)]
             for thread in threads:
                 thread.start()
             for thread in threads:
                 thread.join(timeout=60)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                metrics = ServiceClient(server.url).metrics()["metrics"]
-                if (
-                    metrics["service.deadline_exceeded"]["value"] >= 1
-                    and metrics["service.inflight"]["value"] == 0
-                ):
-                    break
-                time.sleep(0.05)
+                assert not thread.is_alive()
+            assert timed_out == [True] * 3
+            held.opened.set()
+            holder.join(timeout=60)
+            assert not holder.is_alive()
+            skipped = server.registry.counter("service.expired_skipped")
+            wait_for(lambda: skipped.value == 3)
+            metrics = ServiceClient(server.url).metrics()["metrics"]
             assert metrics["service.deadline_exceeded"]["value"] >= 1
+            assert metrics["service.inflight"]["value"] == 0
 
 
 class TestGracefulShutdown:
