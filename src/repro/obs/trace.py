@@ -15,6 +15,7 @@ gadgets, search verdicts, budgets.  Set them at open time
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 from collections import deque
@@ -106,19 +107,27 @@ class FlightRecorder:
     (``{"trace_id", "request_id", "endpoint", "status", "spans": ...}``)
     and exposes the buffer at ``GET /traces``.  Bounded so a busy server
     never grows memory with traffic: once ``capacity`` entries are held,
-    each record evicts the oldest.  Entries are snapshots (plain dicts),
-    so nothing retains live :class:`Span` objects.  Thread-safe.
+    each record evicts the oldest.  Thread-safe.
+
+    An entry is held as its compact JSON text (``str`` fallback for
+    values JSON cannot write), one string in place of a tree of dicts,
+    lists and floats per span, and decoded by :meth:`snapshot`.  An
+    entry recorded with ``final=False`` is held as the dict itself: its
+    span list still grows (a leader answered before its worker's spans
+    arrived), so its text is not yet known.
     """
 
     def __init__(self, capacity: int = 128) -> None:
         if capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
-        self._entries: deque[dict] = deque(maxlen=capacity)
+        self._entries: deque[str | dict] = deque(maxlen=capacity)
         self._recorded = 0
         self._lock = threading.Lock()
 
-    def record(self, entry: dict) -> None:
+    def record(self, entry: dict, final: bool = True) -> None:
+        if final:
+            entry = json.dumps(entry, separators=(",", ":"), default=str)
         with self._lock:
             self._recorded += 1
             self._entries.append(entry)
@@ -138,9 +147,13 @@ class FlightRecorder:
         return len(self._entries)
 
     def snapshot(self) -> list[dict]:
-        """Held entries, oldest first (shallow copies of the dicts)."""
+        """Held entries, oldest first, each a fresh dict."""
         with self._lock:
-            return [dict(entry) for entry in self._entries]
+            entries = list(self._entries)
+        return [
+            json.loads(entry) if isinstance(entry, str) else dict(entry)
+            for entry in entries
+        ]
 
 
 _TRACE: ContextVar[Trace | None] = ContextVar("repro_obs_trace", default=None)

@@ -38,7 +38,12 @@ from repro.queries.cq import ConjunctiveQuery
 from repro.queries.parser import parse_query
 from repro.queries.ucq import UnionOfConjunctiveQueries
 from repro.relational.structure import Delta, Structure
-from repro.service.protocol import PROTOCOL_VERSION, BadRequestError, request_key
+from repro.service.protocol import (
+    ENDPOINT_NAMES,
+    PROTOCOL_VERSION,
+    BadRequestError,
+    request_key,
+)
 
 __all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
 
@@ -660,3 +665,8 @@ ENDPOINTS: dict[str, Callable[..., ParsedRequest]] = {
     "db": parse_db,
     "update": parse_update,
 }
+if tuple(ENDPOINTS) != ENDPOINT_NAMES:
+    raise ImportError(
+        f"endpoint parsers {tuple(ENDPOINTS)} do not match "
+        f"repro.service.protocol.ENDPOINT_NAMES {ENDPOINT_NAMES}"
+    )

@@ -44,6 +44,7 @@ from repro.relational.structure import Structure
 __all__ = [
     "ATTEMPT_HEADER",
     "BadRequestError",
+    "ENDPOINT_NAMES",
     "PROTOCOL_VERSION",
     "REQUEST_ID_HEADER",
     "RETRYABLE_KINDS",
@@ -60,6 +61,11 @@ __all__ = [
 ]
 
 PROTOCOL_VERSION = 1
+
+#: The POST endpoints that evaluate, one per parser in
+#: :data:`repro.service.handlers.ENDPOINTS`.  The names live here so that
+#: routing them (the shard router) loads no handler.
+ENDPOINT_NAMES = ("evaluate", "explain", "decide", "contain", "db", "update")
 
 # -- request identity headers ----------------------------------------------
 

@@ -54,7 +54,12 @@ import threading
 import time
 from collections import OrderedDict
 
+# Every module an endpoint runs but ``/decide`` is imported here, so a
+# server compiles it on its main thread before it listens.  Compiled on
+# a request thread, a module leaves its parser and code blocks resident
+# in that thread's malloc arena (tests/test_runtime_imports.py).
 from repro._value import Value
+from repro.containment_set import default_containment_cache
 from repro.deadline import FLIGHT
 from repro.errors import BagCQError, DeadlineExpired
 from repro.homomorphism.cache import DEFAULT_CACHE_SIZE, CountCache
@@ -62,6 +67,7 @@ from repro.obs import activate
 from repro.obs.metrics import Registry
 from repro.obs.report import SCHEMA_VERSION, stable_json_dumps
 from repro.obs.trace import FlightRecorder, Span
+from repro.planner.plan import default_plan_cache, plan_cache_occupancy
 from repro.service import protocol, wire
 from repro.service.databases import DEFAULT_MAX_DATABASES, DatabaseRegistry
 from repro.service.handlers import ENDPOINTS, ParsedRequest
@@ -320,8 +326,6 @@ class EvaluationServer:
         self.durable = None
         self._restore_report: dict | None = None
         if self.config.snapshot_dir is not None:
-            from repro.containment_set import default_containment_cache
-            from repro.planner.plan import default_plan_cache
             from repro.shard.persist import (
                 SNAPSHOT_COUNTERS,
                 DurableCacheStore,
@@ -422,9 +426,6 @@ class EvaluationServer:
             # dangling write-through sink behind (the next server — or
             # none — decides anew).  Detach only our own store; a newer
             # server may already have replaced it.
-            from repro.containment_set import default_containment_cache
-            from repro.planner.plan import default_plan_cache
-
             self.count_cache.attach_durable(None)
             stores = (default_plan_cache().profiles, default_containment_cache())
             for store in stores:
@@ -476,12 +477,15 @@ class EvaluationServer:
             ).observe(context.root.duration)
         spans = context.root.snapshot()
         flight = context.flight
+        final = True
         if flight is not None:
             # The leader gave up waiting: adopt the worker's spans if they
-            # arrived meanwhile, else let the worker append them later.
+            # arrived meanwhile, else let the worker append them later,
+            # to an entry the recorder then holds as a dict.
             with self._flights_lock:
                 arrived = flight.spans
-                if not arrived:
+                final = bool(arrived)
+                if not final:
                     flight.late = spans["children"]
             spans["children"].extend(span.snapshot() for span in arrived)
         self.recorder.record(
@@ -493,7 +497,8 @@ class EvaluationServer:
                 "retried": context.retried,
                 "duration_ms": context.root.duration_ms,
                 "spans": spans,
-            }
+            },
+            final=final,
         )
 
     def submit(
@@ -752,9 +757,6 @@ class EvaluationServer:
     # -- introspection -----------------------------------------------------
 
     def health(self) -> dict:
-        from repro.containment_set import default_containment_cache
-        from repro.planner.plan import plan_cache_occupancy
-
         payload = {
             "protocol_version": protocol.PROTOCOL_VERSION,
             "status": "draining" if self._draining else "ok",
@@ -804,9 +806,6 @@ class EvaluationServer:
                 "server has no snapshot directory; "
                 "start it with --snapshot-dir",
             )
-        from repro.containment_set import default_containment_cache
-        from repro.planner.plan import default_plan_cache
-
         saved = self.durable.save_all(
             self.count_cache,
             default_plan_cache(),

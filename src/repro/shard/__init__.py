@@ -20,20 +20,22 @@ Two subsystems that together take the warm single-process service of
   across the fleet.
 """
 
-from repro.shard.persist import (
-    DurableCacheStore,
-    RestoreReport,
-    SnapshotError,
-)
-from repro.shard.router import RouterConfig, ShardRouter, serve_sharded
-from repro.shard.worker import WorkerProcess
+from repro import _lazy
 
-__all__ = [
-    "DurableCacheStore",
-    "RestoreReport",
-    "RouterConfig",
-    "ShardRouter",
-    "SnapshotError",
-    "WorkerProcess",
-    "serve_sharded",
-]
+#: Where each re-exported name lives.  Resolved on first attribute access
+#: (PEP 562), as in the package root, so a router loads the routing tier
+#: without the durable store, and a worker's server loads the store
+#: without the router.
+_EXPORTS = {
+    "DurableCacheStore": "repro.shard.persist",
+    "RestoreReport": "repro.shard.persist",
+    "RouterConfig": "repro.shard.router",
+    "ShardRouter": "repro.shard.router",
+    "SnapshotError": "repro.shard.persist",
+    "WorkerProcess": "repro.shard.worker",
+    "serve_sharded": "repro.shard.router",
+}
+
+__getattr__, __dir__ = _lazy.lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

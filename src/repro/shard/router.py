@@ -44,13 +44,13 @@ from pathlib import Path
 
 from repro._value import Value
 from repro.errors import BagCQError
+from repro.homomorphism.cache import canonical_component
 from repro.io import query_from_dict
 from repro.obs.metrics import Registry, quantile_from_bucket_counts
 from repro.obs.report import SCHEMA_VERSION, stable_json_dumps
 from repro.queries.parser import parse_query
 from repro.service import protocol, wire
-from repro.service.handlers import ENDPOINTS
-from repro.shard.worker import WorkerProcess, http_get_json
+from repro.shard.worker import WorkerProcess, http_get_json, http_post_json
 
 __all__ = [
     "ConsistentHashRing",
@@ -111,8 +111,6 @@ class RouterConfig(Value):
 
 def _canonical_text(payload, text) -> str | None:
     """The canonical rendering of one query field, if it parses."""
-    from repro.homomorphism.cache import canonical_component
-
     try:
         if isinstance(payload, dict):
             return str(canonical_component(query_from_dict(payload)))
@@ -585,8 +583,6 @@ class ShardRouter:
         self.registry.counter("shard.snapshot_fanouts").inc()
         rows = []
         totals = {"counts": 0, "plans": 0, "containment": 0}
-        from repro.shard.worker import http_post_json
-
         for worker, url in self._live_workers():
             row: dict = {"shard": worker.shard_index}
             try:
@@ -727,7 +723,10 @@ class _RouterHandler(wire.Handler):
             self.send(200, router.metrics_json().encode("utf-8"))
         elif self.path == "/traces":
             self.send(200, router.traces_json().encode("utf-8"))
-        elif self.path.lstrip("/") in ENDPOINTS or self.path == "/snapshot":
+        elif (
+            self.path.lstrip("/") in protocol.ENDPOINT_NAMES
+            or self.path == "/snapshot"
+        ):
             self._send_failure(
                 _RouterFailure(
                     protocol.KIND_METHOD, f"{self.path} requires POST"
@@ -753,7 +752,7 @@ class _RouterHandler(wire.Handler):
         if endpoint == "snapshot":
             self._send_json(200, router.snapshot_all())
             return
-        if endpoint not in ENDPOINTS:
+        if endpoint not in protocol.ENDPOINT_NAMES:
             self._send_failure(
                 _RouterFailure(
                     protocol.KIND_NOT_FOUND, f"unknown endpoint /{endpoint}"

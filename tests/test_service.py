@@ -14,21 +14,32 @@ in-process :class:`EvaluationServer` (ephemeral port, real HTTP):
   later requests still get correct (uncorrupted) counts;
 * graceful shutdown — in-flight work completes during drain;
 * the retrying client — backoff on 429/connection errors, honoring
-  ``Retry-After``.
+  ``Retry-After``;
+* ``bagcq serve`` as its own process — concurrent ``bagcq call``
+  duplicates, ``Expect: 100-continue``, keep-alive and the body cap.
 """
 
 from __future__ import annotations
 
+import http.client
 import json
+import os
 import random
+import signal
+import socket
+import subprocess
+import sys
 import threading
 import time
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.errors import BagCQError
 from repro.homomorphism import count
+from repro.io import structure_from_facts
 from repro.queries import parse_query
 from repro.relational import Schema, Structure
 from repro.service import (
@@ -46,6 +57,7 @@ from repro.service import (
 from repro.service import protocol
 from repro.workloads import cycle_query
 from tests.conftest import wait_for
+from tests.test_wire import _parse
 
 
 def _random_graph(n: int = 13, seed: int = 0) -> Structure:
@@ -490,9 +502,7 @@ class TestGracefulShutdown:
         # Close only once the request is admitted: closing earlier
         # answers it 503, and the client's retry is refused.
         admitted = server.registry.counter("service.admitted")
-        deadline = time.monotonic() + 30
-        while admitted.value < 1 and time.monotonic() < deadline:
-            time.sleep(0.001)
+        wait_for(lambda: admitted.value >= 1, timeout_s=30)
         server.close()  # drains: the in-flight evaluation must finish
         thread.join(timeout=60)
         assert result == [count(SLOW_QUERY, GRAPH)]
@@ -572,3 +582,134 @@ class TestClientRetry:
         with pytest.raises(ServiceUnavailable):
             client.healthz()
         assert time.monotonic() - start < 5.0
+
+
+PENTAGON = "E(x,y) & E(y,z) & E(z,w) & E(w,v) & E(v,x)"
+PENTAGON_FACTS = "E(a,b) E(b,c) E(c,d) E(d,a) E(a,c) E(b,d) E(c,a)"
+
+
+def _exchange(address, payload: bytes) -> tuple[bytes, float]:
+    """Send raw bytes, read until the server closes; ``(reply, seconds)``.
+
+    A request carrying ``Expect: 100-continue`` sends its body only once
+    the interim response has arrived, as curl does.
+    """
+    started = time.monotonic()
+    with socket.create_connection(address, timeout=10) as sock:
+        if b"Expect: 100-continue" in payload:
+            head, separator, payload = payload.partition(b"\r\n\r\n")
+            sock.sendall(head + separator)
+            interim = b""
+            while not interim.endswith(b"\r\n\r\n"):
+                interim += sock.recv(1)
+            assert interim == b"HTTP/1.1 100 Continue\r\n\r\n"
+        sock.sendall(payload)
+        chunks = []
+        while chunk := sock.recv(65536):
+            chunks.append(chunk)
+    return b"".join(chunks), time.monotonic() - started
+
+
+@pytest.mark.slow
+class TestServeCommand:
+    """``bagcq serve`` in its own process, as an operator starts it."""
+
+    def test_serve_coalesces_calls_and_keeps_the_wire_rules(self):
+        environment = dict(os.environ)
+        package_root = str(Path(repro.__file__).resolve().parent.parent)
+        environment["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [package_root, environment.get("PYTHONPATH")])
+        )
+        cli = [sys.executable, "-m", "repro.cli"]
+        daemon = subprocess.Popen(
+            [*cli, "serve", "--port", "0", "--workers", "2"],
+            stdout=subprocess.PIPE,
+            text=True,
+            env=environment,
+        )
+        try:
+            listening = daemon.stdout.readline()
+            assert listening.startswith("bagcq service listening on http://")
+            url = listening.split()[-1]
+            host, port = url.removeprefix("http://").split(":")
+            address = (host, int(port))
+
+            # Six concurrent duplicate calls print one count.
+            calls = [
+                subprocess.Popen(
+                    [*cli, "call", "evaluate", "--url", url,
+                     "--query", PENTAGON, "--facts", PENTAGON_FACTS],
+                    stdout=subprocess.PIPE,
+                    text=True,
+                    env=environment,
+                )
+                for _ in range(6)
+            ]
+            printed = {call.communicate(timeout=60)[0] for call in calls}
+            assert [call.returncode for call in calls] == [0] * 6
+            assert len(printed) == 1
+            expected = int(printed.pop())
+            assert expected == count(
+                parse_query(PENTAGON), structure_from_facts(PENTAGON_FACTS)
+            )
+            with urllib.request.urlopen(f"{url}/metrics", timeout=10) as reply:
+                data = json.loads(reply.read())
+            assert data["schema_version"] == 1
+            metrics = data["metrics"]
+            assert (
+                metrics["service.admitted"]["value"]
+                + metrics["service.coalesced"]["value"]
+                == 6
+            )
+            assert metrics["service.shed"]["value"] == 0
+            assert metrics["service.completed"]["value"] >= 1
+
+            # Expect: 100-continue gets the interim answer, then the count.
+            body = json.dumps(
+                {"query_text": PENTAGON, "facts": PENTAGON_FACTS}
+            ).encode()
+            reply, seconds = _exchange(
+                address,
+                b"POST /evaluate HTTP/1.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Expect: 100-continue\r\n"
+                b"Connection: close\r\n"
+                b"Content-Length: %d\r\n\r\n" % len(body) + body,
+            )
+            status, _, payload = _parse(reply)
+            assert (status, payload["count"]) == (200, expected)
+            assert seconds < 0.5
+
+            # Keep-alive: two /healthz on one connection.
+            connection = http.client.HTTPConnection(*address, timeout=10)
+            try:
+                connection.request("GET", "/healthz")
+                connection.getresponse().read()
+                first = connection.sock
+                connection.request("GET", "/healthz")
+                assert connection.getresponse().status == 200
+                assert first is not None and connection.sock is first
+            finally:
+                connection.close()
+
+            # The body cap answers before any body byte is read.
+            reply, seconds = _exchange(
+                address,
+                b"POST /evaluate HTTP/1.1\r\n"
+                b"Content-Type: application/json\r\n"
+                b"Content-Length: 1000000000000\r\n\r\n{}",
+            )
+            status, _, payload = _parse(reply)
+            assert (status, payload["error"]["kind"]) == (400, "bad_request")
+            assert seconds < 1.0
+
+            with urllib.request.urlopen(f"{url}/healthz", timeout=10) as reply:
+                assert json.loads(reply.read())["status"] == "ok"
+        finally:
+            daemon.send_signal(signal.SIGINT)
+            try:
+                daemon.wait(timeout=30)
+            except subprocess.TimeoutExpired:
+                daemon.kill()
+                daemon.wait(timeout=10)
+            daemon.stdout.close()

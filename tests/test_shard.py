@@ -19,7 +19,6 @@ Three layers under test:
 from __future__ import annotations
 
 import json
-import time
 import urllib.error
 import urllib.request
 
@@ -44,6 +43,7 @@ from repro.shard.router import (
     routing_key,
 )
 from repro.shard.worker import http_get_json, http_post_json
+from tests.conftest import wait_for
 
 
 def _structure():
@@ -561,11 +561,10 @@ class TestShardRouterLive:
             import signal
 
             os.kill(victim_pid, signal.SIGKILL)
-            deadline = time.monotonic() + 30
-            while time.monotonic() < deadline:
-                if victim.healthy() and victim.pid != victim_pid:
-                    break
-                time.sleep(0.1)
+            wait_for(
+                lambda: victim.healthy() and victim.pid != victim_pid,
+                timeout_s=30,
+            )
             assert victim.healthy(), "worker was not respawned"
             assert victim.restarts >= 1
             # And the fleet still answers.
@@ -662,7 +661,7 @@ class TestShardRouterLive:
             import signal
 
             os.kill(worker.pid, signal.SIGKILL)
-            time.sleep(0.3)
+            worker._process.wait(timeout=10)
             with worker._lock:
                 worker._url = None
             request = urllib.request.Request(

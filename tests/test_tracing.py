@@ -18,9 +18,11 @@ import threading
 import time
 import urllib.error
 import urllib.request
+from pathlib import Path
 
 import pytest
 
+from repro.obs.report import stable_json_dumps
 from repro.obs.trace import FlightRecorder
 from repro.relational import Schema, Structure
 from repro.service import EvaluationServer, ServerConfig, ServiceClient
@@ -153,6 +155,27 @@ class TestFlightRecorder:
         assert recorder.recorded == 800
         assert len(recorder) == 16
         assert recorder.dropped == 784
+
+    def test_held_text_renders_the_recorded_bytes(self):
+        recorder = FlightRecorder(capacity=4)
+        entry = {
+            "duration_ms": 0.1 + 0.2,
+            "retried": False,
+            "spans": {
+                "name": "request",
+                "duration_ms": 1e-7,
+                "attrs": {"items": ("a", 1), "path": Path("x"), "none": None},
+                "children": [],
+            },
+        }
+        recorder.record(entry)
+        pending = {"spans": {"children": []}}
+        recorder.record(pending, final=False)
+        pending["spans"]["children"].append({"name": "evaluate"})
+        assert [type(held) for held in recorder._entries] == [str, dict]
+        assert stable_json_dumps(recorder.snapshot()) == stable_json_dumps(
+            [entry, pending]
+        )
 
 
 @pytest.fixture()
@@ -441,6 +464,8 @@ class TestTracesEndpoint:
             for thread in threads:
                 thread.join()
             document = ServiceClient(server.url).traces()
+            # A finished trace is held as its compact JSON text.
+            assert [type(held) for held in server.recorder._entries] == [str] * 8
         assert document["capacity"] == 8
         assert document["recorded"] == 40
         assert document["dropped"] == 32
