@@ -91,6 +91,9 @@ Every subcommand accepts ``--stats`` (print an observability report —
 per-step spans plus engine/search counters — to stderr) and
 ``--stats-json PATH`` (write the same report as stable JSON).  See
 ``docs/OBSERVABILITY.md`` for the metric glossary.
+
+The parser is data: ``_FLAGS`` declares every flag once, ``_COMMANDS``
+has one row per subcommand and ``_CALLS`` one per ``call`` endpoint.
 """
 
 from __future__ import annotations
@@ -100,6 +103,7 @@ import sys
 from typing import Sequence
 
 from repro.errors import BagCQError
+from repro.homomorphism import ENGINES
 from repro.queries.parser import parse_query
 from repro.relational.structure import Structure
 
@@ -129,11 +133,15 @@ def _load_instance(spec: str):
     return factories[name](*arguments)
 
 
-def _parse_facts(text: str) -> Structure:
-    """Parse an inline database (delegates to :func:`repro.io.structure_from_facts`)."""
-    from repro.io import structure_from_facts
+def _parse_facts(text: str, query=None) -> Structure:
+    """An inline database (:func:`repro.io.structure_from_facts`) that
+    also interprets ``query``'s constants, each as itself."""
+    from repro.io import interpret_query_constants, structure_from_facts
 
-    return structure_from_facts(text)
+    structure = structure_from_facts(text)
+    if query is None:
+        return structure
+    return interpret_query_constants(structure, query)
 
 
 def _command_reduce(args: argparse.Namespace) -> int:
@@ -212,16 +220,8 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     from repro.homomorphism.batch import count_many
 
     query = parse_query(args.query)
-    structure = _parse_facts(args.facts)
-    missing = [
-        constant.name
-        for constant in query.constants
-        if not structure.interprets(constant.name)
-    ]
-    for name in missing:
-        structure = structure.with_constant(name, name)
     [value] = count_many(
-        [(query, structure)],
+        [(query, _parse_facts(args.facts, query))],
         engine=args.engine,
         workers=args.workers,
         cache=False if args.no_cache else None,
@@ -235,12 +235,7 @@ def _command_explain(args: argparse.Namespace) -> int:
 
     query = parse_query(args.query)
     if args.facts is not None:
-        structure = _parse_facts(args.facts)
-        for constant in query.constants:
-            if not structure.interprets(constant.name):
-                structure = structure.with_constant(
-                    constant.name, constant.name
-                )
+        structure = _parse_facts(args.facts, query)
         source = f"inline database ({structure.fact_count()} facts)"
     else:
         structure = query.canonical_structure()
@@ -300,14 +295,8 @@ def _parse_deltas(args: argparse.Namespace):
 def _command_update(args: argparse.Namespace) -> int:
     from repro.homomorphism.delta import DeltaEvaluator
 
-    structure = _parse_facts(args.facts)
     query = parse_query(args.query) if args.query is not None else None
-    if query is not None:
-        for constant in query.constants:
-            if not structure.interprets(constant.name):
-                structure = structure.with_constant(
-                    constant.name, constant.name
-                )
+    structure = _parse_facts(args.facts, query)
     deltas = _parse_deltas(args)
     evaluator = DeltaEvaluator(structure, engine=args.engine)
     if query is not None:
@@ -323,148 +312,158 @@ def _command_update(args: argparse.Namespace) -> int:
 
 
 def _command_serve(args: argparse.Namespace) -> int:
+    options = dict(
+        host=args.host,
+        port=args.port,
+        queue_depth=args.queue_depth,
+        default_deadline_ms=args.deadline_ms,
+        coalesce=not args.no_coalesce,
+        snapshot_dir=args.snapshot_dir,
+    )
     if args.shards > 1:
         from repro.shard import RouterConfig, serve_sharded
 
         serve_sharded(
             RouterConfig(
-                host=args.host,
-                port=args.port,
-                shards=args.shards,
-                workers_per_shard=args.workers,
-                queue_depth=args.queue_depth,
-                default_deadline_ms=args.deadline_ms,
-                coalesce=not args.no_coalesce,
-                snapshot_dir=args.snapshot_dir,
+                shards=args.shards, workers_per_shard=args.workers, **options
             )
         )
         return 0
     from repro.service import ServerConfig, serve
 
-    serve(
-        ServerConfig(
-            host=args.host,
-            port=args.port,
-            workers=args.workers,
-            queue_depth=args.queue_depth,
-            default_deadline_ms=args.deadline_ms,
-            coalesce=not args.no_coalesce,
-            snapshot_dir=args.snapshot_dir,
-        )
-    )
+    serve(ServerConfig(workers=args.workers, **options))
     return 0
 
 
 def _command_snapshot(args: argparse.Namespace) -> int:
-    from repro.obs.report import stable_json_dumps
-    from repro.shard.worker import http_post_json
+    args.endpoint = "snapshot"
+    return _command_call(args)
 
-    result = http_post_json(
-        f"{args.url.rstrip('/')}/snapshot", {}, timeout_s=args.timeout_s
-    )
-    print(stable_json_dumps(result))
-    return 0
+
+def _union(queries: list[str]):
+    """One query, or the disjuncts of a union when the flag repeats."""
+    return queries[0] if len(queries) == 1 else queries
+
+
+#: ``bagcq call``'s endpoints in ``--help`` order: what each needs and
+#: the client call that answers it, which returns the answers to print
+#: as stable JSON.  A need names a flag by its dest and asks for it
+#: once; ``a|b`` asks for exactly one of two flags, ``name+`` for a
+#: repeatable flag at least once.
+_CALLS = {
+    "evaluate": (
+        "query facts|db",
+        lambda client, args: [
+            client.evaluate(
+                args.query,
+                args.facts,
+                engine=args.engine,
+                deadline_ms=args.deadline_ms,
+                db=args.db,
+            )
+        ],
+    ),
+    "explain": (
+        "query",
+        lambda client, args: [
+            client.explain(args.query, structure=args.facts)["plan"]
+        ],
+    ),
+    "decide": (
+        "phi_s phi_b",
+        lambda client, args: [
+            client.decide(
+                args.phi_s[0],
+                args.phi_b[0],
+                multiplier=args.multiplier,
+                additive=args.additive,
+                domain_size=args.domain_size,
+                count=args.count,
+                seed=args.seed,
+                engine=args.engine,
+                deadline_ms=args.deadline_ms,
+            )
+        ],
+    ),
+    "contain": (
+        "phi_s+ phi_b+",
+        lambda client, args: [
+            client.contain(
+                _union(args.phi_s),
+                _union(args.phi_b),
+                engine=args.engine,
+                witness=not args.no_witness,
+                deadline_ms=args.deadline_ms,
+            )
+        ],
+    ),
+    "db": (
+        "db facts",
+        lambda client, args: [
+            client.load_db(
+                args.db,
+                args.facts,
+                engine=args.engine,
+                deadline_ms=args.deadline_ms,
+            )
+        ],
+    ),
+    "update": (
+        "db",
+        lambda client, args: (
+            client.update(args.db, delta=delta, deadline_ms=args.deadline_ms)
+            for delta in _parse_deltas(args)
+        ),
+    ),
+    "healthz": ("", lambda client, args: [client.healthz()]),
+    "metrics": ("", lambda client, args: [client.metrics()]),
+    "traces": ("", lambda client, args: [client.traces()]),
+    "snapshot": ("", lambda client, args: [client.snapshot()]),
+}
+
+
+def _meets(args: argparse.Namespace, need: str) -> bool:
+    given = 0
+    for dest in need.rstrip("+").split("|"):
+        value = getattr(args, dest)
+        if value is not None:
+            given += len(value) if isinstance(value, list) else 1
+    return given >= 1 if need.endswith("+") else given == 1
+
+
+def _describe(need: str) -> str:
+    flags = ["--" + dest.replace("_", "-") for dest in need.rstrip("+").split("|")]
+    if len(flags) > 1:
+        return "one of " + " or ".join(flags)
+    return flags[0] if need.endswith("+") else f"one {flags[0]}"
 
 
 def _command_call(args: argparse.Namespace) -> int:
     from repro.obs.report import stable_json_dumps
     from repro.service import ServiceClient
 
-    client = ServiceClient(args.url, retries=args.retries)
-    endpoint = args.endpoint
-    if endpoint == "healthz":
-        print(stable_json_dumps(client.healthz()))
-        return 0
-    if endpoint == "metrics":
-        print(stable_json_dumps(client.metrics()))
-        return 0
-    if endpoint == "traces":
-        print(stable_json_dumps(client.traces()))
-        return 0
-    if endpoint == "snapshot":
-        from repro.shard.worker import http_post_json
+    needs, call = _CALLS[args.endpoint]
+    if not all(_meets(args, need) for need in needs.split()):
+        raise SystemExit(
+            f"call {args.endpoint} needs "
+            + " and ".join(_describe(need) for need in needs.split())
+        )
+    # `bagcq snapshot` sets a timeout and `bagcq call` a retry budget.
+    options = {
+        name: value
+        for name, value in vars(args).items()
+        if name in ("retries", "timeout_s")
+    }
+    client = ServiceClient(args.url, **options)
+    for answer in call(client, args):
+        print(stable_json_dumps(answer))
+    return 0
 
-        print(
-            stable_json_dumps(
-                http_post_json(f"{args.url.rstrip('/')}/snapshot", {})
-            )
-        )
-        return 0
-    if endpoint == "evaluate":
-        if args.query is None or (args.facts is None) == (args.db is None):
-            raise SystemExit(
-                "call evaluate needs --query plus exactly one of "
-                "--facts or --db"
-            )
-        value = client.evaluate(
-            args.query,
-            args.facts,
-            engine=args.engine,
-            deadline_ms=args.deadline_ms,
-            db=args.db,
-        )
-        print(value)
-        return 0
-    if endpoint == "db":
-        if args.db is None or args.facts is None:
-            raise SystemExit("call db needs --db and --facts")
-        snapshot = client.load_db(
-            args.db,
-            args.facts,
-            engine=args.engine,
-            deadline_ms=args.deadline_ms,
-        )
-        print(stable_json_dumps(snapshot))
-        return 0
-    if endpoint == "update":
-        if args.db is None:
-            raise SystemExit("call update needs --db")
-        for delta in _parse_deltas(args):
-            report = client.update(
-                args.db, delta=delta, deadline_ms=args.deadline_ms
-            )
-            print(stable_json_dumps(report))
-        return 0
-    if endpoint == "explain":
-        if args.query is None:
-            raise SystemExit("call explain needs --query")
-        print(
-            stable_json_dumps(
-                client.explain(args.query, structure=args.facts)["plan"]
-            )
-        )
-        return 0
-    if endpoint == "contain":
-        if not args.phi_s or not args.phi_b:
-            raise SystemExit("call contain needs --phi-s and --phi-b")
-        phi_s = args.phi_s[0] if len(args.phi_s) == 1 else list(args.phi_s)
-        phi_b = args.phi_b[0] if len(args.phi_b) == 1 else list(args.phi_b)
-        verdict = client.contain(
-            phi_s,
-            phi_b,
-            engine=args.engine,
-            witness=not args.no_witness,
-            deadline_ms=args.deadline_ms,
-        )
-        print(stable_json_dumps(verdict))
-        return 0
-    if endpoint == "decide":
-        if not args.phi_s or not args.phi_b:
-            raise SystemExit("call decide needs --phi-s and --phi-b")
-        verdict = client.decide(
-            args.phi_s[0],
-            args.phi_b[0],
-            multiplier=args.multiplier,
-            additive=args.additive,
-            domain_size=args.domain_size,
-            count=args.count,
-            seed=args.seed,
-            engine=args.engine,
-            deadline_ms=args.deadline_ms,
-        )
-        print(stable_json_dumps(verdict))
-        return 0
-    raise SystemExit(f"unknown endpoint {endpoint!r}")
+
+def _print_violations(violations: list[str]) -> int:
+    for violation in violations:
+        print(f"SLO VIOLATION: {violation}", file=sys.stderr)
+    return 1 if violations else 0
 
 
 def _command_loadgen(args: argparse.Namespace) -> int:
@@ -514,11 +513,7 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             handle.write(stable_json_dumps(document))
             handle.write("\n")
         print(f"wrote {args.output}")
-    if violations:
-        for violation in violations:
-            print(f"SLO VIOLATION: {violation}", file=sys.stderr)
-        return 1
-    return 0
+    return _print_violations(violations)
 
 
 def _command_slo(args: argparse.Namespace) -> int:
@@ -546,9 +541,7 @@ def _command_slo(args: argparse.Namespace) -> int:
             )
         )
     if violations:
-        for violation in violations:
-            print(f"SLO VIOLATION: {violation}", file=sys.stderr)
-        return 1
+        return _print_violations(violations)
     print(f"{len(current.get('scenarios', []))} scenario(s) within objectives")
     return 0
 
@@ -707,10 +700,7 @@ def _command_answers(args: argparse.Namespace) -> int:
     body = parse_query(args.query)
     head = tuple(name.strip() for name in args.head.split(",") if name.strip())
     open_query = OpenQuery(body, head)
-    structure = _parse_facts(args.facts)
-    for name in (c.name for c in body.constants):
-        if not structure.interprets(name):
-            structure = structure.with_constant(name, name)
+    structure = _parse_facts(args.facts, body)
     for answer, multiplicity in sorted(
         open_query.answers(structure).items(), key=lambda kv: repr(kv[0])
     ):
@@ -759,481 +749,180 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    from repro.homomorphism import ENGINES
+#: Every flag, one entry per meaning: ``name: (option, add_argument
+#: keywords)``.  ``--workers``, ``--deadline-ms``, ``--phi-s`` and
+#: ``--phi-b`` each mean two things, so each has two entries.
+_FLAGS = {
+    "stats": ("--stats", dict(action="store_true",
+              help="print an observability report (spans + counters) to stderr")),
+    "stats_json": ("--stats-json", dict(metavar="PATH",
+                   help="write the observability report as stable JSON to PATH")),
+    "instance": ("--instance", dict(help="e.g. pell_nontrivial:2")),
+    "grid": ("--grid", dict(type=int, default=2, help="valuation grid bound")),
+    "c": ("--c", dict(type=int)),
+    "check_structures": ("--check-structures", dict(type=int, default=0)),
+    "query": ("--query", {}),
+    "facts": ("--facts", dict(help="inline database, e.g. 'E(a,b) E(b,c)'; "
+              "explain plans against the query's canonical one without it")),
+    "engine": ("--engine", dict(choices=("auto", *ENGINES), default="auto",
+               help="counting engine; 'auto' (default) plans per component")),
+    "workers": ("--workers", dict(type=_positive_int, default=1,
+                help="fan counting across a process pool (default: 1, serial)")),
+    "no_cache": ("--no-cache", dict(action="store_true",
+                 help="disable the canonicalization-keyed component count cache")),
+    "json": ("--json", dict(action="store_true",
+             help="print the plan (as /explain returns it) or the verdict as JSON")),
+    "insert": ("--insert", dict(help="ground atoms to insert, e.g. 'E(a,b); E(b,c)'")),
+    "delete": ("--delete", dict(help="ground atoms to delete")),
+    "delta_file": ("--delta-file", dict(
+                   help="JSON file with one io delta payload or a list of them")),
+    "host": ("--host", dict(default="127.0.0.1")),
+    "port": ("--port", dict(type=int, default=8642, help="0 picks an ephemeral port")),
+    "threads": ("--workers", dict(type=_positive_int, default=4,
+                help="evaluation threads")),
+    "queue_depth": ("--queue-depth", dict(type=_positive_int, default=64,
+                    help="admission bound; beyond it requests are shed with 429")),
+    "default_deadline_ms": ("--deadline-ms", dict(type=_positive_int, default=30_000,
+                            help="default per-request deadline")),
+    "no_coalesce": ("--no-coalesce", dict(action="store_true",
+                    help="disable single-flight coalescing of identical requests")),
+    "shards": ("--shards", dict(type=_positive_int, default=1,
+               help="worker subprocesses behind a consistent-hash router "
+               "(1 = classic single-process server)")),
+    "snapshot_dir": ("--snapshot-dir", dict(metavar="DIR",
+                     help="durable cache tier: warm-start from DIR and write "
+                     "through to it (with --shards each worker gets DIR/shard-NN)")),
+    "url": ("--url", dict(default="http://127.0.0.1:8642", help="service base URL")),
+    "timeout_s": ("--timeout-s", dict(type=float, default=60.0,
+                  help="request timeout")),
+    "endpoint": ("endpoint", dict(choices=tuple(_CALLS))),
+    "db": ("--db", dict(help="named server-resident database (evaluate/db/update)")),
+    "phi_s": ("--phi-s", dict(help="smaller-side query")),
+    "phi_b": ("--phi-b", dict(help="bigger-side query")),
+    "phi_s_union": ("--phi-s", dict(action="append",
+                    help="smaller-side query; repeat for a union's disjuncts")),
+    "phi_b_union": ("--phi-b", dict(action="append",
+                    help="bigger-side query; repeat for a union's disjuncts")),
+    "no_witness": ("--no-witness", dict(action="store_true",
+                   help="skip the witness homomorphism on positive verdicts")),
+    "multiplier": ("--multiplier", dict(type=int, default=1)),
+    "additive": ("--additive", dict(type=int, default=0)),
+    "domain_size": ("--domain-size", dict(type=int, default=3)),
+    "count": ("--count", dict(type=int, default=100,
+              help="candidate databases to draw")),
+    "seed": ("--seed", dict(type=int, default=0)),
+    "deadline_ms": ("--deadline-ms", dict(type=int, help="this request's deadline")),
+    "retries": ("--retries", dict(type=int, default=4, help="client retry budget")),
+    "scenario": ("--scenario", dict(action="append", metavar="NAME",
+                 help="scenario to replay (repeatable; default: all of them)")),
+    "requests": ("--requests", dict(type=_positive_int, default=120,
+                 help="requests per scenario")),
+    "clients": ("--clients", dict(type=_positive_int, default=4,
+                help="concurrent workers")),
+    "output": ("--output", dict(metavar="PATH",
+               help="write the BENCH_load-shaped JSON document to PATH")),
+    "check_slo": ("--check-slo", dict(action="store_true",
+                  help="exit non-zero when a scenario misses its declared objectives")),
+    "run": ("--run", dict(metavar="PATH", help="BENCH_load-shaped JSON")),
+    "baseline": ("--baseline", dict(metavar="PATH",
+                 help="checked-in baseline to gate regressions against")),
+    "p95_ratio": ("--p95-ratio", dict(type=float, default=1.5,
+                  help="allowed p95 growth vs baseline (default 1.5x)")),
+    "throughput_ratio": ("--throughput-ratio", dict(type=float, default=0.6,
+                         help="required throughput vs baseline (default 60%%)")),
+    "p95_floor_ms": ("--p95-floor-ms", dict(type=float, default=5.0,
+                     help="ignore p95 regressions below this absolute latency "
+                     "(default 5 ms; raise on noisy shared runners)")),
+    "density": ("--density", dict(type=float, default=0.3)),
+    "max_candidates": ("--max-candidates", dict(type=int)),
+    "batch_size": ("--batch-size", dict(type=_positive_int,
+                   help="candidates per count_many generation (implies batching)")),
+    "max_cases": ("--max-cases", dict(type=int,
+                  help="cases to generate (default 500 when no time budget is given)")),
+    "budget_seconds": ("--budget-seconds", dict(type=float,
+                       help="wall-clock budget; fuzzing stops at the first limit hit")),
+    "oracle": ("--oracle", dict(action="append", metavar="NAME",
+               help="restrict to this oracle (repeatable; default: all registered)")),
+    "corpus": ("--corpus", dict(metavar="DIR",
+               help="replay this corpus first and write minimized findings into it")),
+    "no_shrink": ("--no-shrink", dict(action="store_true",
+                  help="report raw failing cases without delta-debugging them")),
+    "left": ("--left", {}),
+    "right": ("--right", {}),
+    "head": ("--head", dict(help="e.g. 'x,y'")),
+}
 
-    engines = ("auto", *ENGINES)
+#: The flags every subcommand takes.
+_COMMON_FLAGS = "stats stats_json"
+
+#: The subcommands in ``--help`` order: ``(name, help, handler, flags)``,
+#: with the flags by ``_FLAGS`` name and a ``!`` on each required one.
+_COMMANDS = (
+    ("reduce", "run the full reduction pipeline", _command_reduce,
+     "instance! grid"),
+    ("gadget", "build and verify an alpha gadget", _command_gadget,
+     "c! check_structures"),
+    ("evaluate", "count homomorphisms", _command_evaluate,
+     "query! facts! engine workers no_cache"),
+    ("explain", "print the auto engine's evaluation plan for a query",
+     _command_explain, "query! facts json"),
+    ("update", "apply deltas to an inline database and recount incrementally",
+     _command_update, "query facts! insert delete delta_file engine"),
+    ("serve", "run the long-lived evaluation daemon (repro.service)",
+     _command_serve, "host port threads queue_depth default_deadline_ms "
+     "no_coalesce shards snapshot_dir"),
+    ("snapshot", "persist a running daemon's caches to its snapshot directory",
+     _command_snapshot, "url timeout_s"),
+    ("call", "call a running bagcq service from the shell", _command_call,
+     "endpoint url query facts db insert delete delta_file phi_s_union "
+     "phi_b_union no_witness engine multiplier additive domain_size count "
+     "seed deadline_ms retries"),
+    ("loadgen", "replay seeded traffic scenarios against a running daemon",
+     _command_loadgen, "url scenario requests clients seed output check_slo"),
+    ("slo", "judge a recorded load run against objectives and a baseline",
+     _command_slo, "run! baseline p95_ratio throughput_ratio p95_floor_ms"),
+    ("search", "search random databases for a containment counterexample",
+     _command_search, "phi_s! phi_b! multiplier additive domain_size density "
+     "count seed max_candidates engine workers batch_size no_cache"),
+    ("contain", "decide set-semantics containment (Chandra-Merlin / all-any)",
+     _command_contain, "phi_s_union! phi_b_union! engine no_witness json"),
+    ("fuzz", "differential fuzzing with paper-lemma oracles (repro.qa)",
+     _command_fuzz, "max_cases budget_seconds seed oracle corpus no_shrink"),
+    ("compare", "inequality budget vs Jayram-Kolaitis-Vee", _command_compare, ""),
+    ("verify-paper", "run the executable registry of the paper's claims",
+     _command_verify_paper, ""),
+    ("core", "set-semantics core of a conjunctive query", _command_core,
+     "query!"),
+    ("equivalent", "bag/set equivalence of two queries", _command_equivalent,
+     "left! right!"),
+    ("answers", "answer multiset of an open query on an inline database",
+     _command_answers, "query! head! facts!"),
+)
+
+
+def _add_flags(parser: argparse.ArgumentParser, flags: str) -> None:
+    for flag in flags.split():
+        option, keywords = _FLAGS[flag.rstrip("!")]
+        if flag.endswith("!"):
+            keywords = {**keywords, "required": True}
+        parser.add_argument(option, **keywords)
+
+
+def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bagcq",
         description="Bag-semantics CQ containment: gadgets and reductions "
         "from Marcinkowski & Orda, PODS 2024.",
     )
-    # Observability flags are shared by every subcommand (argparse parents),
-    # so both ``bagcq reduce … --stats`` and ``bagcq evaluate … --stats``
-    # parse naturally.
-    obs_flags = argparse.ArgumentParser(add_help=False)
-    obs_flags.add_argument(
-        "--stats",
-        action="store_true",
-        help="print an observability report (spans + counters) to stderr",
-    )
-    obs_flags.add_argument(
-        "--stats-json",
-        metavar="PATH",
-        default=None,
-        help="write the observability report as stable JSON to PATH",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    reduce_parser = sub.add_parser(
-        "reduce", help="run the full reduction pipeline", parents=[obs_flags]
-    )
-    reduce_parser.add_argument("--instance", required=True, help="e.g. pell_nontrivial:2")
-    reduce_parser.add_argument("--grid", type=int, default=2, help="valuation grid bound")
-    reduce_parser.set_defaults(handler=_command_reduce)
-
-    gadget_parser = sub.add_parser(
-        "gadget", help="build and verify an alpha gadget", parents=[obs_flags]
-    )
-    gadget_parser.add_argument("--c", type=int, required=True)
-    gadget_parser.add_argument("--check-structures", type=int, default=0)
-    gadget_parser.set_defaults(handler=_command_gadget)
-
-    evaluate_parser = sub.add_parser(
-        "evaluate", help="count homomorphisms", parents=[obs_flags]
-    )
-    evaluate_parser.add_argument("--query", required=True)
-    evaluate_parser.add_argument("--facts", required=True)
-    evaluate_parser.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-        help="counting engine; 'auto' (default) plans per component",
-    )
-    evaluate_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="fan component evaluation across a process pool (default: 1, serial)",
-    )
-    evaluate_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the canonicalization-keyed component count cache",
-    )
-    evaluate_parser.set_defaults(handler=_command_evaluate)
-
-    explain_parser = sub.add_parser(
-        "explain",
-        help="print the auto engine's evaluation plan for a query",
-        parents=[obs_flags],
-    )
-    explain_parser.add_argument("--query", required=True)
-    explain_parser.add_argument(
-        "--facts",
-        default=None,
-        help="inline database to plan against (default: the query's "
-        "canonical database)",
-    )
-    explain_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="emit the machine-readable plan (the same stable JSON the "
-        "service /explain endpoint returns)",
-    )
-    explain_parser.set_defaults(handler=_command_explain)
-
-    update_parser = sub.add_parser(
-        "update",
-        help="apply deltas to an inline database and recount incrementally",
-        parents=[obs_flags],
-    )
-    update_parser.add_argument(
-        "--query",
-        default=None,
-        help="optional query recounted after every delta",
-    )
-    update_parser.add_argument("--facts", required=True)
-    update_parser.add_argument(
-        "--insert",
-        default=None,
-        help="ground atoms to insert, e.g. 'E(a,b); E(b,c)'",
-    )
-    update_parser.add_argument(
-        "--delete", default=None, help="ground atoms to delete"
-    )
-    update_parser.add_argument(
-        "--delta-file",
-        default=None,
-        help="JSON file with one io delta payload or a list, applied in order",
-    )
-    update_parser.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-    )
-    update_parser.set_defaults(handler=_command_update)
-
-    serve_parser = sub.add_parser(
-        "serve",
-        help="run the long-lived evaluation daemon (repro.service)",
-        parents=[obs_flags],
-    )
-    serve_parser.add_argument("--host", default="127.0.0.1")
-    serve_parser.add_argument(
-        "--port", type=int, default=8642, help="0 picks an ephemeral port"
-    )
-    serve_parser.add_argument(
-        "--workers", type=_positive_int, default=4, help="evaluation threads"
-    )
-    serve_parser.add_argument(
-        "--queue-depth",
-        type=_positive_int,
-        default=64,
-        help="admission bound; beyond it requests are shed with 429",
-    )
-    serve_parser.add_argument(
-        "--deadline-ms",
-        type=_positive_int,
-        default=30_000,
-        help="default per-request deadline",
-    )
-    serve_parser.add_argument(
-        "--no-coalesce",
-        action="store_true",
-        help="disable single-flight coalescing of identical requests",
-    )
-    serve_parser.add_argument(
-        "--shards",
-        type=_positive_int,
-        default=1,
-        help="worker subprocesses behind a consistent-hash router "
-        "(1 = classic single-process server)",
-    )
-    serve_parser.add_argument(
-        "--snapshot-dir",
-        default=None,
-        metavar="DIR",
-        help="durable cache tier: warm-start from DIR and write through "
-        "to it (with --shards each worker gets DIR/shard-NN)",
-    )
-    serve_parser.set_defaults(handler=_command_serve)
-
-    snapshot_parser = sub.add_parser(
-        "snapshot",
-        help="persist a running daemon's caches to its snapshot directory",
-        parents=[obs_flags],
-    )
-    snapshot_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="service base URL"
-    )
-    snapshot_parser.add_argument(
-        "--timeout-s", type=float, default=60.0, help="request timeout"
-    )
-    snapshot_parser.set_defaults(handler=_command_snapshot)
-
-    call_parser = sub.add_parser(
-        "call",
-        help="call a running bagcq service from the shell",
-        parents=[obs_flags],
-    )
-    call_parser.add_argument(
-        "endpoint",
-        choices=(
-            "evaluate",
-            "explain",
-            "decide",
-            "contain",
-            "db",
-            "update",
-            "healthz",
-            "metrics",
-            "traces",
-            "snapshot",
-        ),
-    )
-    call_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="service base URL"
-    )
-    call_parser.add_argument("--query", default=None)
-    call_parser.add_argument("--facts", default=None)
-    call_parser.add_argument(
-        "--db",
-        default=None,
-        help="named server-resident database (evaluate/db/update)",
-    )
-    call_parser.add_argument(
-        "--insert",
-        default=None,
-        help="update only: ground atoms to insert, e.g. 'E(a,b); E(b,c)'",
-    )
-    call_parser.add_argument(
-        "--delete",
-        default=None,
-        help="update only: ground atoms to delete",
-    )
-    call_parser.add_argument(
-        "--delta-file",
-        default=None,
-        help="update only: JSON file with one io delta payload or a list",
-    )
-    call_parser.add_argument(
-        "--phi-s",
-        action="append",
-        default=None,
-        help="smaller-side query; repeat for a union (contain only)",
-    )
-    call_parser.add_argument(
-        "--phi-b",
-        action="append",
-        default=None,
-        help="bigger-side query; repeat for a union (contain only)",
-    )
-    call_parser.add_argument(
-        "--no-witness",
-        action="store_true",
-        help="contain only: skip the witness homomorphism",
-    )
-    call_parser.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-    )
-    call_parser.add_argument("--multiplier", type=int, default=1)
-    call_parser.add_argument("--additive", type=int, default=0)
-    call_parser.add_argument("--domain-size", type=int, default=3)
-    call_parser.add_argument("--count", type=int, default=100)
-    call_parser.add_argument("--seed", type=int, default=0)
-    call_parser.add_argument("--deadline-ms", type=int, default=None)
-    call_parser.add_argument(
-        "--retries", type=int, default=4, help="client retry budget"
-    )
-    call_parser.set_defaults(handler=_command_call)
-
-    loadgen_parser = sub.add_parser(
-        "loadgen",
-        help="replay seeded traffic scenarios against a running daemon",
-        parents=[obs_flags],
-    )
-    loadgen_parser.add_argument(
-        "--url", default="http://127.0.0.1:8642", help="service base URL"
-    )
-    loadgen_parser.add_argument(
-        "--scenario",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario to replay (repeatable; default: all of them)",
-    )
-    loadgen_parser.add_argument(
-        "--requests", type=_positive_int, default=120, help="requests per scenario"
-    )
-    loadgen_parser.add_argument(
-        "--clients", type=_positive_int, default=4, help="concurrent workers"
-    )
-    loadgen_parser.add_argument("--seed", type=int, default=0)
-    loadgen_parser.add_argument(
-        "--output",
-        default=None,
-        metavar="PATH",
-        help="write the BENCH_load-shaped JSON document to PATH",
-    )
-    loadgen_parser.add_argument(
-        "--check-slo",
-        action="store_true",
-        help="exit non-zero when a scenario misses its declared objectives",
-    )
-    loadgen_parser.set_defaults(handler=_command_loadgen)
-
-    slo_parser = sub.add_parser(
-        "slo",
-        help="judge a recorded load run against objectives and a baseline",
-        parents=[obs_flags],
-    )
-    slo_parser.add_argument(
-        "--run", required=True, metavar="PATH", help="BENCH_load-shaped JSON"
-    )
-    slo_parser.add_argument(
-        "--baseline",
-        default=None,
-        metavar="PATH",
-        help="checked-in baseline to gate regressions against",
-    )
-    slo_parser.add_argument(
-        "--p95-ratio",
-        type=float,
-        default=1.5,
-        help="allowed p95 growth vs baseline (default 1.5x)",
-    )
-    slo_parser.add_argument(
-        "--throughput-ratio",
-        type=float,
-        default=0.6,
-        help="required throughput vs baseline (default 60%%)",
-    )
-    slo_parser.add_argument(
-        "--p95-floor-ms",
-        type=float,
-        default=5.0,
-        help="ignore p95 regressions below this absolute latency "
-        "(default 5 ms; raise on noisy shared runners)",
-    )
-    slo_parser.set_defaults(handler=_command_slo)
-
-    search_parser = sub.add_parser(
-        "search",
-        help="search random databases for a containment counterexample",
-        parents=[obs_flags],
-    )
-    search_parser.add_argument("--phi-s", required=True, help="smaller-side query")
-    search_parser.add_argument("--phi-b", required=True, help="bigger-side query")
-    search_parser.add_argument("--multiplier", type=int, default=1)
-    search_parser.add_argument("--additive", type=int, default=0)
-    search_parser.add_argument("--domain-size", type=int, default=3)
-    search_parser.add_argument("--density", type=float, default=0.3)
-    search_parser.add_argument(
-        "--count", type=int, default=100, help="candidate databases to draw"
-    )
-    search_parser.add_argument("--seed", type=int, default=0)
-    search_parser.add_argument("--max-candidates", type=int, default=None)
-    search_parser.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-        help="counting engine; 'auto' (default) plans per component",
-    )
-    search_parser.add_argument(
-        "--workers",
-        type=_positive_int,
-        default=1,
-        help="fan batched candidate checking across a process pool",
-    )
-    search_parser.add_argument(
-        "--batch-size",
-        type=_positive_int,
-        default=None,
-        help="candidates per count_many generation (implies batched checking)",
-    )
-    search_parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the canonicalization-keyed component count cache",
-    )
-    search_parser.set_defaults(handler=_command_search)
-
-    contain_parser = sub.add_parser(
-        "contain",
-        help="decide set-semantics containment (Chandra-Merlin / all-any)",
-        parents=[obs_flags],
-    )
-    contain_parser.add_argument(
-        "--phi-s",
-        action="append",
-        required=True,
-        help="contained-side query; repeat for a union's disjuncts",
-    )
-    contain_parser.add_argument(
-        "--phi-b",
-        action="append",
-        required=True,
-        help="containing-side query; repeat for a union's disjuncts",
-    )
-    contain_parser.add_argument(
-        "--engine",
-        choices=engines,
-        default="auto",
-        help="counting engine for the homomorphism test",
-    )
-    contain_parser.add_argument(
-        "--no-witness",
-        action="store_true",
-        help="skip the witness homomorphism on positive verdicts",
-    )
-    contain_parser.add_argument(
-        "--json",
-        action="store_true",
-        help="print the full verdict (witness/certificate) as JSON",
-    )
-    contain_parser.set_defaults(handler=_command_contain)
-
-    fuzz_parser = sub.add_parser(
-        "fuzz",
-        help="differential fuzzing with paper-lemma oracles (repro.qa)",
-        parents=[obs_flags],
-    )
-    fuzz_parser.add_argument(
-        "--max-cases",
-        type=int,
-        default=None,
-        help="cases to generate (default 500 when no time budget is given)",
-    )
-    fuzz_parser.add_argument(
-        "--budget-seconds",
-        type=float,
-        default=None,
-        help="wall-clock budget; fuzzing stops at whichever limit hits first",
-    )
-    fuzz_parser.add_argument("--seed", type=int, default=0)
-    fuzz_parser.add_argument(
-        "--oracle",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="restrict to this oracle (repeatable; default: all registered)",
-    )
-    fuzz_parser.add_argument(
-        "--corpus",
-        default=None,
-        metavar="DIR",
-        help="replay this corpus first and write minimized findings into it",
-    )
-    fuzz_parser.add_argument(
-        "--no-shrink",
-        action="store_true",
-        help="report raw failing cases without delta-debugging them",
-    )
-    fuzz_parser.set_defaults(handler=_command_fuzz)
-
-    compare_parser = sub.add_parser(
-        "compare",
-        help="inequality budget vs Jayram-Kolaitis-Vee",
-        parents=[obs_flags],
-    )
-    compare_parser.set_defaults(handler=_command_compare)
-
-    verify_parser = sub.add_parser(
-        "verify-paper",
-        help="run the executable registry of the paper's claims",
-        parents=[obs_flags],
-    )
-    verify_parser.set_defaults(handler=_command_verify_paper)
-
-    core_parser = sub.add_parser(
-        "core",
-        help="set-semantics core of a conjunctive query",
-        parents=[obs_flags],
-    )
-    core_parser.add_argument("--query", required=True)
-    core_parser.set_defaults(handler=_command_core)
-
-    equivalent_parser = sub.add_parser(
-        "equivalent",
-        help="bag/set equivalence of two queries",
-        parents=[obs_flags],
-    )
-    equivalent_parser.add_argument("--left", required=True)
-    equivalent_parser.add_argument("--right", required=True)
-    equivalent_parser.set_defaults(handler=_command_equivalent)
-
-    answers_parser = sub.add_parser(
-        "answers",
-        help="answer multiset of an open query on an inline database",
-        parents=[obs_flags],
-    )
-    answers_parser.add_argument("--query", required=True)
-    answers_parser.add_argument("--head", required=True, help="e.g. 'x,y'")
-    answers_parser.add_argument("--facts", required=True)
-    answers_parser.set_defaults(handler=_command_answers)
+    # The common flags live on one parent parser that every subcommand
+    # shares, so a server holds one set of their actions, not eighteen.
+    common = argparse.ArgumentParser(add_help=False)
+    _add_flags(common, _COMMON_FLAGS)
+    subcommands = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, handler, flags in _COMMANDS:
+        subcommand = subcommands.add_parser(name, help=help_text, parents=[common])
+        subcommand.set_defaults(handler=handler)
+        _add_flags(subcommand, flags)
     return parser
 
 

@@ -35,6 +35,7 @@ __all__ = [
     "structure_to_dict",
     "structure_from_dict",
     "structure_from_facts",
+    "interpret_query_constants",
     "delta_to_dict",
     "delta_from_dict",
     "ground_facts_from_text",
@@ -207,6 +208,22 @@ def structure_from_facts(text: str) -> Structure:
             facts.setdefault(atom.relation, set()).add(tuple(values))
     schema = Schema(RelationSymbol(n, a) for n, a in arities.items())
     return Structure(schema, facts, constants)
+
+
+def interpret_query_constants(
+    structure: Structure, query: ConjunctiveQuery
+) -> Structure:
+    """``structure`` with each constant of ``query`` it leaves uninterpreted
+    bound to itself, the element of the same name.
+
+    The convenience that goes with :func:`structure_from_facts`:
+    ``bagcq evaluate --query "E(#a, y)" --facts "E(a, b)"`` counts 1, as
+    does the service's ``"facts"`` field.
+    """
+    for constant in query.constants:
+        if not structure.interprets(constant.name):
+            structure = structure.with_constant(constant.name, constant.name)
+    return structure
 
 
 def ground_facts_from_text(text: str) -> list[tuple[str, tuple]]:

@@ -352,6 +352,14 @@ class ServiceClient:
         """The server's flight recorder (``GET /traces``)."""
         return self._request("GET", "traces", None)
 
+    def snapshot(self) -> dict:
+        """``POST /snapshot``: sync the caches to the durable tier.
+
+        A shard router fans it out to every shard; a server started
+        without ``--snapshot-dir`` answers with a ``bad_request``.
+        """
+        return self._post("snapshot", {})
+
     # -- transport ---------------------------------------------------------
 
     def _post(self, endpoint: str, body: dict) -> dict:

@@ -27,6 +27,7 @@ from repro.homomorphism.engine import count, count_ucq
 from repro.io import (
     delta_from_dict,
     ground_facts_from_text,
+    interpret_query_constants,
     query_from_dict,
     query_to_dict,
     structure_from_dict,
@@ -45,7 +46,7 @@ from repro.service.protocol import (
     request_key,
 )
 
-__all__ = ["ParsedRequest", "parse_request", "ENDPOINTS"]
+__all__ = ["ParsedRequest", "ENDPOINTS"]
 
 #: Bound on ``domain_size ** max_arity`` of a ``/decide`` request's
 #: schema: every candidate draws one coin per possible tuple of each
@@ -123,17 +124,6 @@ def _parse_structure_field(body: dict, required: bool = True) -> Structure | Non
     if required:
         raise BadRequestError("request needs 'structure' or 'facts'")
     return None
-
-
-def _interpret_missing_constants(
-    query: ConjunctiveQuery, structure: Structure, from_facts: bool
-) -> Structure:
-    if not from_facts:
-        return structure
-    for constant in query.constants:
-        if not structure.interprets(constant.name):
-            structure = structure.with_constant(constant.name, constant.name)
-    return structure
 
 
 def _resolve_database(body: dict, databases):
@@ -224,10 +214,8 @@ def parse_evaluate(
         """(structure, db-identity extras, db response fields)."""
         if database is None:
             structure = _parse_structure_field(body)
-            if query is not None:
-                structure = _interpret_missing_constants(
-                    query, structure, from_facts
-                )
+            if query is not None and from_facts:
+                structure = interpret_query_constants(structure, query)
             return structure, (), {}
         structure = database.structure  # parse-time version snapshot
         extra = (database.name, database.version)
@@ -419,9 +407,8 @@ def parse_explain(
         structure = query.canonical_structure()
         source = "canonical"
     else:
-        structure = _interpret_missing_constants(
-            query, structure, "structure" not in body
-        )
+        if "structure" not in body:
+            structure = interpret_query_constants(structure, query)
         source = "inline"
 
     def run() -> dict:

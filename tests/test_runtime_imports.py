@@ -22,7 +22,9 @@ shard router loads what it routes, not the handlers, engines, planner
 or durable store its workers run.
 """
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
@@ -244,3 +246,15 @@ def test_shard_root_resolves_every_export():
     import repro.shard
 
     _assert_resolves_every_export(repro.shard)
+
+
+def test_every_module_resolves_every_name_in_its_all():
+    unresolved = []
+    for module_info in pkgutil.walk_packages(repro.__path__, "repro."):
+        module = importlib.import_module(module_info.name)
+        unresolved.extend(
+            f"{module_info.name}.{name}"
+            for name in getattr(module, "__all__", ())
+            if not hasattr(module, name)
+        )
+    assert unresolved == []
